@@ -74,7 +74,8 @@ STORE_FORMAT_VERSION = 1
 SALT_ENV_VAR = "REPRO_CAMPAIGN_SALT"
 
 #: Subtrees of ``src/repro`` whose source feeds the code-version salt —
-#: everything that can change what executing a task produces.
+#: everything that can change what executing a task produces, plus the
+#: warm-frontier codec, which decides what a persisted row decodes to.
 _SALT_SOURCES = (
     "core",
     "encoding",
@@ -84,6 +85,7 @@ _SALT_SOURCES = (
     "adversaries",
     "runtime",
     "analysis/checkers.py",
+    "campaigns/frontiers.py",
 )
 
 _SCHEMA = """

@@ -1204,8 +1204,8 @@ def config_key_digest(key) -> bytes:
 
     Two keys digest equal iff they are equal: the only order-unstable
     components of a config key are frozensets of ints, normalized to
-    sorted tuples before hashing.  Sharded searches exchange these
-    digests instead of raw keys (16 bytes each, picklable, and identical
+    sorted tuples before hashing.  Persisted warm frontiers are keyed
+    by these digests instead of raw keys (16 bytes each, and identical
     no matter which process computed them)."""
     return hashlib.blake2b(repr(_normalize_key(key)).encode(),
                            digest_size=16).digest()

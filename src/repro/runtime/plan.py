@@ -6,8 +6,8 @@ is a *sweep* over cells of that product.  An :class:`ExecutionPlan`
 enumerates the cells once, deterministically, into picklable
 :class:`ExecutionTask` specs; a :class:`~repro.runtime.backends.Backend`
 then executes them serially or fanned across processes.  Everything that
-used to hand-roll this loop (``verify_protocol``, the parallel sweep
-module, the experiment registry, the CLI) builds a plan instead.
+used to hand-roll this loop (``verify_protocol``, the experiment
+registry, the CLI) builds a plan instead.
 
 Plan modes:
 

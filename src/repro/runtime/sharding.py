@@ -38,7 +38,7 @@ def shardable(task) -> bool:
 
     Only full exhaustive enumerations qualify: ``exhaustive_limit``
     truncates mid-stream (a global count no lot can see), and search /
-    scheduler cells carry their parallelism inside the strategies.
+    scheduler cells run their strategies serially inside one worker.
     """
     return (task.mode == "exhaustive"
             and task.exhaustive_limit is None

@@ -169,8 +169,8 @@ class TestBoundedSweepExact:
                                       boundless.deadlock)
 
     def test_table_free_sweep_never_prunes(self):
-        """The sharding-compatible authority: without a table, bounds
-        change nothing — explored counts stay the boundless ones."""
+        """Without a table, bounds change nothing — explored counts stay
+        the boundless ones."""
         g = gen.random_k_degenerate(5, 2, seed=0)
         proto = DegenerateBuildProtocol(2)
         on = BranchAndBoundAdversary(bounds=True).search(

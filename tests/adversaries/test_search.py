@@ -7,11 +7,13 @@ must be *sound* everywhere: its schedule replays to a terminal run with
 exactly the claimed accounting.
 """
 
+import inspect
 import pickle
 
 import pytest
 
 from repro.adversaries import (
+    AdversarySearch,
     BeamSearchAdversary,
     BranchAndBoundAdversary,
     DeadlockAdversary,
@@ -155,6 +157,21 @@ class TestStrategyMechanics:
         for strategy in default_search_portfolio():
             clone = pickle.loads(pickle.dumps(strategy))
             assert clone.name == strategy.name
+
+    def test_portfolio_search_signatures_match_base(self):
+        """Every strategy runs serially: its ``search`` takes exactly the
+        keyword-only parameters of ``AdversarySearch.search`` and no
+        extra knob (such as a private ``jobs=`` fan-out)."""
+
+        def keyword_only(search):
+            return [name for name, param
+                    in inspect.signature(search).parameters.items()
+                    if param.kind is inspect.Parameter.KEYWORD_ONLY]
+
+        expected = keyword_only(AdversarySearch.search)
+        for strategy in default_search_portfolio():
+            assert keyword_only(type(strategy).search) == expected, \
+                strategy.name
 
     def test_deterministic_per_seed(self):
         g = gen.random_even_odd_bipartite(6, 0.5, seed=1)

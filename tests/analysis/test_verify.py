@@ -1,13 +1,28 @@
 """Tests for the verification harness."""
 
+import pickle
+
+from repro.analysis.checkers import (
+    BfsCanonical,
+    BuildEqualsInput,
+    ConnectivityCorrect,
+    EobBfsCorrect,
+    MisValid,
+    SpanningForestCanonical,
+    SquareCorrect,
+    TriangleCorrect,
+    TwoCliquesCorrect,
+)
 from repro.analysis.verify import verify_protocol
-from repro.core import ASYNC, SIMASYNC, SIMSYNC
+from repro.core import ASYNC, SIMASYNC, SIMSYNC, SYNC
 from repro.core.protocol import NodeView, Protocol
 from repro.core.schedulers import MinIdScheduler
 from repro.graphs import generators as gen
 from repro.graphs.properties import is_rooted_mis
+from repro.protocols.bfs import SyncBfsProtocol
 from repro.protocols.build import DegenerateBuildProtocol
 from repro.protocols.mis import RootedMisProtocol
+from repro.runtime import ProcessPoolBackend
 
 
 class TestHappyPath:
@@ -96,3 +111,67 @@ class TestFailureDetection:
                 schedulers=[MinIdScheduler()],
                 bit_budget=lambda n: 3,
             )
+
+
+class TestCheckers:
+    """The picklable checkers agree with direct oracle calls."""
+
+    def test_pickle_roundtrip(self):
+        for checker in (BuildEqualsInput(), MisValid(3), BfsCanonical(),
+                        EobBfsCorrect(), TwoCliquesCorrect(), TriangleCorrect(),
+                        SquareCorrect(), ConnectivityCorrect(),
+                        SpanningForestCanonical()):
+            assert pickle.loads(pickle.dumps(checker)) == checker
+
+    def test_build_checker(self):
+        g = gen.random_k_degenerate(6, 2, seed=1)
+        assert BuildEqualsInput()(g, g, None)
+        assert not BuildEqualsInput()(g, gen.path_graph(6), None)
+
+    def test_mis_checker(self):
+        g = gen.star_graph(5)
+        assert MisValid(1)(g, frozenset({1}), None)
+        assert not MisValid(2)(g, frozenset({1}), None)
+
+
+class TestProcessPoolEqualsSerial:
+    """Sweeps through ``ProcessPoolBackend`` report exactly what the
+    serial path reports, failures and empty sweeps included."""
+
+    @staticmethod
+    def _both(protocol, model, instances, checker):
+        serial = verify_protocol(protocol, model, instances, checker)
+        pooled = verify_protocol(protocol, model, instances, checker,
+                                 backend=ProcessPoolBackend(jobs=2))
+        assert pooled == serial
+        return pooled
+
+    def test_build_sweep(self):
+        instances = [gen.random_k_degenerate(n, 2, seed=n) for n in (4, 8, 12)]
+        report = self._both(DegenerateBuildProtocol(2), SIMASYNC, instances,
+                            BuildEqualsInput())
+        assert report.ok and report.exhaustive_instances == 1
+
+    def test_mis_sweep(self):
+        instances = [gen.random_connected_graph(8, 0.3, seed=s)
+                     for s in range(3)]
+        report = self._both(RootedMisProtocol(2), SIMSYNC, instances,
+                            MisValid(2))
+        assert report.ok and report.instances == 3
+
+    def test_bfs_sweep(self):
+        instances = [gen.random_graph(9, 0.3, seed=s) for s in range(3)]
+        assert self._both(SyncBfsProtocol(), SYNC, instances,
+                          BfsCanonical()).ok
+
+    def test_failures_propagate(self):
+        # Wrong oracle on purpose: BUILD output is a graph, never an int.
+        report = self._both(DegenerateBuildProtocol(2), SIMASYNC,
+                            [gen.random_k_degenerate(6, 2, seed=1)],
+                            TriangleCorrect())
+        assert not report.ok and report.failures
+
+    def test_empty_instances(self):
+        report = self._both(DegenerateBuildProtocol(2), SIMASYNC, [],
+                            BuildEqualsInput())
+        assert report.instances == 0 and report.ok

@@ -1,6 +1,11 @@
 """ResultStore: fingerprint determinism, exact round trips, gc."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +84,31 @@ class TestFingerprints:
         assert salt != "pinned" and len(salt) == 16
         # Stable within one source tree.
         assert code_version_salt() == salt
+
+    def test_frontier_codec_edit_rolls_salt(self, tmp_path):
+        """The warm-frontier codec decides what a persisted row decodes
+        to, so editing it must roll the salt: rows written by the old
+        codec then stop matching instead of being decoded by the new."""
+        package = Path(__file__).resolve().parents[2] / "src" / "repro"
+        shutil.copytree(package, tmp_path / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = {k: v for k, v in os.environ.items()
+               if k != "REPRO_CAMPAIGN_SALT"}
+        env["PYTHONPATH"] = str(tmp_path)
+
+        def salt() -> str:
+            return subprocess.run(
+                [sys.executable, "-c",
+                 "from repro.campaigns.store import code_version_salt; "
+                 "print(code_version_salt())"],
+                capture_output=True, text=True, env=env, check=True,
+            ).stdout.strip()
+
+        before = salt()
+        with open(tmp_path / "repro" / "campaigns" / "frontiers.py",
+                  "a") as codec:
+            codec.write("\n# codec edit\n")
+        assert salt() != before
 
 
 # Payloads protocols actually emit: nested tuples/ints/strings/graphs...
