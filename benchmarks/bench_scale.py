@@ -120,16 +120,12 @@ SCALAR_CLIFF = 7
 
 
 def test_scale_curve(benchmark, report_dir):
-    """Exhaustive count_executions scaling: scalar vs batched vs sharded.
+    """Exhaustive count_executions scaling: scalar vs batched.
 
     The scalar engine is the semantic authority and is measured up to
     ``SCALAR_CLIFF``; the batched structure-of-arrays core must agree
     with it exactly there, then keep the curve bending past the cliff
-    (n=9 is 362880 schedules — hours scalar, sub-second batched).  The
-    sharded column (``jobs=2`` over the batched core) must agree with
-    the batched count everywhere; its seconds only beat the batched
-    column once real cores are available, so the curve records the
-    honest ratio for whatever machine produced it.
+    (n=9 is 362880 schedules — hours scalar, sub-second batched).
     """
     rows = []
     for n in CURVE_SIZES:
@@ -138,10 +134,6 @@ def test_scale_curve(benchmark, report_dir):
         t0 = time.perf_counter()
         batched = count_executions(g, proto, SIMASYNC, batch=True)
         t_batched = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        sharded = count_executions(g, proto, SIMASYNC, batch=True, jobs=2)
-        t_sharded = time.perf_counter() - t0
-        assert sharded == batched
         scalar_seconds = None
         if n <= SCALAR_CLIFF:
             t0 = time.perf_counter()
@@ -153,7 +145,6 @@ def test_scale_curve(benchmark, report_dir):
             "executions": batched,
             "scalar_seconds": scalar_seconds,
             "batched_seconds": round(t_batched, 4),
-            "sharded_seconds": round(t_sharded, 4),
         })
     assert [row["executions"] for row in rows] == sorted(
         row["executions"] for row in rows

@@ -51,16 +51,16 @@ class BeamSearchAdversary(AdversarySearch):
     a vectorized twin, the whole frontier is stepped as one
     :class:`~repro.core.batch.BatchedExecutionState` per generation —
     field-identical witnesses, step accounting and exceptions, just
-    faster.  ``batch=None`` (default) auto-selects; ``False`` pins the
-    scalar reference; the knob is underscore-private so campaign
-    fingerprints never see it.
+    faster.  ``batch=False`` pins the scalar reference (the equivalence
+    tests and the regression bench A/B the two passes); the knob is
+    underscore-private so campaign fingerprints never see it.
     """
 
     name = "beam"
 
     def __init__(self, width: int = 8, restarts: int = 1, seed: int = 0,
                  score: Union[None, str, ScoreHook] = None,
-                 batch: Optional[bool] = None) -> None:
+                 batch: bool = True) -> None:
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
         if restarts < 0:
@@ -74,17 +74,17 @@ class BeamSearchAdversary(AdversarySearch):
         # Stored underscore-private on purpose: the batched pass is an
         # equivalence-pinned accelerator, not a semantic knob, so it
         # must NOT enter campaign fingerprints (which harvest public
-        # primitive attributes).  None = auto (batched when supported),
-        # False = always scalar, True = batched when supported.
+        # primitive attributes).  True = batched when supported,
+        # False = always scalar.
         self._batch = batch
 
     @property
-    def batch(self) -> Optional[bool]:
-        """The batching preference (None = auto)."""
+    def batch(self) -> bool:
+        """Whether the batched pass is used where the cell supports it."""
         return self._batch
 
     def _use_batch(self, graph, protocol, model) -> bool:
-        if self._batch is False:
+        if not self._batch:
             return False
         from ..core.batch import batch_supported
 

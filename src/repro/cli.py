@@ -43,7 +43,12 @@ the run writes a JSONL telemetry event stream (plus a sibling
 ``*.manifest.json``) without changing any result — reports are
 byte-identical traced or not.  End-of-run kernel summaries (steps,
 batch occupancy, transposition hit-rate) print to *stderr*, keeping
-stdout stable across semantics-free knobs like ``--batch``/``--jobs``.
+stdout stable across semantics-free knobs like ``--jobs``.
+
+Numeric options are range-checked at parse time: every ``--jobs`` must
+be positive, every ``--threshold`` non-negative, and
+``--expect-hit-rate`` a fraction in ``[0, 1]``; anything else is a
+usage error (exit 2), never a traceback.
 
 Protocol names come from one registry — :data:`repro.protocols.census.
 CENSUS_BY_KEY` — so ``demo`` choices, ``sweep`` choices and the
@@ -121,6 +126,39 @@ def _sweep_checker(census_key: str):
     return default_checker(census_key)
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse ``type=`` for integers ``>= low``: a bad value becomes a
+    usage error naming the option, not a traceback from deep inside."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+
+
+def _fraction(text: str) -> float:
+    """argparse ``type=`` for a fraction in ``[0, 1]``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be within [0, 1], got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-whiteboard",
@@ -167,9 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["verify", "single", "exhaustive"],
                     help="verify = exhaustive below the threshold, "
                          "portfolio above (default)")
-    sw.add_argument("--threshold", type=int, default=5,
+    sw.add_argument("--threshold", type=_non_negative_int, default=5,
                     help="exhaustive-enumeration size threshold")
-    sw.add_argument("--jobs", type=int, default=None,
+    sw.add_argument("--jobs", type=_positive_int, default=None,
                     help="worker processes (default: serial)")
     sw.add_argument("--store", default=None, metavar="PATH",
                     help="SQLite result store for opportunistic reuse: "
@@ -192,10 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="instance sizes n")
     st.add_argument("--seeds", type=int, nargs="+", default=[0],
                     help="instance seeds (one instance per size x seed)")
-    st.add_argument("--threshold", type=int, default=5,
+    st.add_argument("--threshold", type=_non_negative_int, default=5,
                     help="exhaustive-enumeration size threshold; larger "
                          "instances use adversary search")
-    st.add_argument("--jobs", type=int, default=None,
+    st.add_argument("--jobs", type=_positive_int, default=None,
                     help="worker processes (default: serial); heavy "
                          "exhaustive cells additionally shard their "
                          "schedule tree across the workers")
@@ -213,13 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="adversary fault budget, e.g. 'crash:2,loss:1' "
                          "(kinds: crash, loss, dup); fault events join "
                          "the searched schedule space")
-    st.add_argument("--batch", dest="batch", action="store_true",
-                    default=None,
-                    help="step cells through the batched structure-of-"
-                         "arrays engine where supported (field-identical "
-                         "reports, just faster)")
-    st.add_argument("--no-batch", dest="batch", action="store_false",
-                    help="pin every cell to the scalar reference engine")
     st.add_argument("--store", default=None, metavar="PATH",
                     help="SQLite result store for opportunistic reuse: "
                          "cells already stored are served from it, "
@@ -251,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", default="stress",
                        choices=["stress", "verify"],
                        help="plan mode per cell (default: stress)")
-        p.add_argument("--threshold", type=int, default=5,
+        p.add_argument("--threshold", type=_non_negative_int, default=5,
                        help="exhaustive-enumeration size threshold")
         p.add_argument("--allow-deadlock", action="store_true",
                        help="deadlocks count as executions, not failures "
@@ -284,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "the store's persistent frontiers and commit what "
                            "the run learned back; reports are identical, "
                            "re-expansion work shrinks run over run")
-    crun.add_argument("--jobs", type=int, default=None,
+    crun.add_argument("--jobs", type=_positive_int, default=None,
                       help="worker processes (default: serial)")
-    crun.add_argument("--expect-hit-rate", type=float, default=None,
+    crun.add_argument("--expect-hit-rate", type=_fraction, default=None,
                       metavar="P",
                       help="exit nonzero unless at least this fraction of "
                            "tasks was served from the store (CI resume smoke)")
@@ -331,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     cclaims.add_argument("--protocol", dest="protocols", action="append",
                          default=None, choices=sorted(CENSUS_BY_KEY),
                          help="restrict to specific protocols (repeatable)")
-    cclaims.add_argument("--jobs", type=int, default=None,
+    cclaims.add_argument("--jobs", type=_positive_int, default=None,
                          help="worker processes (default: serial)")
     cclaims.add_argument("--trace", action="store_true",
                          help="narrate the minimised witness of every "
@@ -346,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     size.add_argument("--full", action="store_true", help="larger workloads")
     size.add_argument("--quick", action="store_true",
                       help="small workloads (the default; explicit for scripts)")
-    allp.add_argument("--jobs", type=int, default=None,
+    allp.add_argument("--jobs", type=_positive_int, default=None,
                       help="fan experiments across worker processes")
 
     tel = sub.add_parser("telemetry", help="inspect run telemetry traces")
@@ -493,9 +524,8 @@ def _activated(session):
 def _kernel_line(kernel) -> None:
     """End-of-run kernel summary (steps, batch occupancy, table
     hit-rate).  Printed to *stderr* on purpose: stdout reports are
-    pinned byte-identical across semantics-free knobs (``--batch``,
-    ``--jobs``, tracing), and occupancy is exactly the kind of number
-    that differs across them."""
+    pinned byte-identical across semantics-free knobs (``--jobs``,
+    tracing), and kernel counters are diagnostics, not results."""
     if kernel is not None:
         print(f"    kernel: {kernel.summary()}", file=sys.stderr)
 
@@ -649,7 +679,6 @@ def _stress_protocols(args, backend, instances, store,
             score=args.score,
             share_table=args.share_table,
             faults=args.faults,
-            batch=args.batch,
         )
         report, cached = _run_plan(plan, backend, store,
                                    telemetry=telemetry, kernel=kernel)

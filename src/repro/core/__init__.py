@@ -30,7 +30,6 @@ from .batch import (
     BatchAborted,
     BatchedExecutionState,
     batch_supported,
-    batched_all_executions,
     batched_count_executions,
     partition_lots,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "BatchAborted",
     "BatchedExecutionState",
     "batch_supported",
-    "batched_all_executions",
     "batched_count_executions",
     "partition_lots",
     "MessageTooLarge",

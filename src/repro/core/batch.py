@@ -1,7 +1,7 @@
 """Batched structure-of-arrays execution core.
 
 The scalar :class:`~repro.core.execution.ExecutionState` steps one
-configuration at a time; beam frontiers and exhaustive sweeps want
+configuration at a time; beam frontiers and schedule-tree counts want
 *thousands* of near-identical configurations stepped in lockstep.  A
 :class:`BatchedExecutionState` holds N configurations as parallel numpy
 arrays — written/active/crashed node sets packed into uint64 bitmask
@@ -12,7 +12,7 @@ them with a handful of vectorised array operations per generation.
 Design rules (the reason this module is allowed to exist):
 
 * **The scalar engine is the only semantic authority.**  Every batched
-  result is pinned field-identical to the scalar one — config keys,
+  result is pinned field-identical to the scalar one — dedupe keys,
   witnesses, counts, ``RunResult`` fields, fault budgets included — by
   the equivalence tests in ``tests/core/test_batch.py`` and
   ``tests/adversaries/test_batched_beam.py``.  Nothing here may change
@@ -34,7 +34,7 @@ Design rules (the reason this module is allowed to exist):
   gates every entry point; unsupported cells silently use the scalar
   path.
 
-``partition_lots`` balances enumeration fan-out: when a frontier
+``partition_lots`` balances the count walk's fan-out: when a frontier
 outgrows the lane budget it is split into roughly equal-weight subtree
 lots (weight = remaining-depth factorial x remaining fault budget, the
 LPT greedy), each walked independently — the warp-balancing idea from
@@ -46,20 +46,16 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Union
 
-try:  # numpy is a hard dependency of the graphs layer, but stay graceful
-    import numpy as np
-except Exception:  # pragma: no cover - exercised only on stripped installs
-    np = None
+import numpy as np
 
 from ..encoding.bits import payload_bits, payload_key
 from ..faults.spec import FaultSpec, resolve_faults
 from ..telemetry import tracer as _trace
 from .errors import MessageTooLarge, ProtocolViolation
 from .execution import ExecutionState, RunResult
-from .models import MODELS_BY_NAME, ModelSpec
+from .models import ModelSpec
 from .protocol import NodeView, Protocol
 from .whiteboard import BoardView, Entry, Whiteboard
 from ..graphs.labeled_graph import LabeledGraph
@@ -67,22 +63,16 @@ from ..graphs.labeled_graph import LabeledGraph
 __all__ = [
     "BatchAborted",
     "BatchedExecutionState",
-    "ScheduleLot",
     "batch_supported",
-    "batched_all_executions",
     "batched_count_executions",
     "config_key_digest",
-    "expand_enumeration_units",
     "partition_lots",
     "partition_weighted",
-    "run_schedule_lot",
-    "sharded_all_executions",
-    "sharded_count_executions",
 ]
 
 
 class BatchAborted(RuntimeError):
-    """A batched enumeration hit a per-lane violation and must be
+    """A batched count hit a per-lane violation and must be
     re-run on the scalar engine (which raises at exactly the right
     point in the reference DFS order)."""
 
@@ -91,11 +81,11 @@ def batch_supported(graph: LabeledGraph, protocol: Protocol,
                     model: ModelSpec) -> bool:
     """Whether this cell can run on the batched core.
 
-    Requires numpy with ``bitwise_count`` (>= 2.0), at most 64 nodes
+    Requires numpy's ``bitwise_count`` (numpy >= 2.0), at most 64 nodes
     (one uint64 bitmask lane per set), and a *stateless* protocol —
     hidden per-run protocol state cannot be forked by an array gather.
     """
-    if np is None or not hasattr(np, "bitwise_count"):
+    if not hasattr(np, "bitwise_count"):
         return False
     if graph.n > 64:
         return False
@@ -120,7 +110,7 @@ class _BatchCell:
 
     One cell is shared by every batch of the same
     (graph, protocol, model, bit_budget, faults) tuple — beam restarts,
-    enumeration lots, forks.  All caches are append-only, so sharing is
+    count lots, forks.  All caches are append-only, so sharing is
     safe, and all message/bit/key computation happens here exactly once
     per distinct (node, view) pair.
     """
@@ -158,7 +148,6 @@ class _BatchCell:
         self._rec_payload: list[Any] = []
         self._rec_node: list[int] = []
         self._rec_bits: list[Optional[int]] = []
-        self._rec_key: list[Any] = []
         self._rec_key_id: list[Optional[int]] = []
         self._rec_bits_exc: dict[int, Exception] = {}
         self._rec_key_exc: dict[int, Exception] = {}
@@ -205,7 +194,6 @@ class _BatchCell:
         self._rec_payload.append(payload)
         self._rec_node.append(v)
         self._rec_bits.append(None)
-        self._rec_key.append(None)
         self._rec_key_id.append(None)
         return rec
 
@@ -272,9 +260,8 @@ class _BatchCell:
         cannot fail)."""
         kid = self._rec_key_id[rec]
         if kid is None:
-            key = payload_key(self._rec_payload[rec])
-            kid = self._key_intern.setdefault(key, len(self._key_intern))
-            self._rec_key[rec] = key
+            kid = self._key_intern.setdefault(
+                payload_key(self._rec_payload[rec]), len(self._key_intern))
             self._rec_key_id[rec] = kid
         return kid
 
@@ -388,7 +375,7 @@ class BatchedExecutionState:
     A lane whose step raised is *dead*: it keeps its arrays but carries
     the exception in :attr:`violations`, and drivers decide whether to
     re-raise (beam, in generation order) or abandon the whole batch
-    (enumeration, falling back to the scalar reference).
+    (counting, falling back to the scalar reference).
     """
 
     __slots__ = (
@@ -847,184 +834,72 @@ class BatchedExecutionState:
                     frozen_id(lane, active), -1)
         return build
 
-    def _board_recs(self, lane: int) -> list[int]:
-        """Board entry records in write order (duplicates twice)."""
-        cell = self.cell
-        if self.view is not None:
-            return cell._view_recs(int(self.view[lane]))
-        recs: list[int] = []
-        n = cell.n
-        for choice in self.schedule_of(lane):
-            if choice > 0:
-                recs.append(cell._static_rec[choice - 1])
-            elif -choice > 2 * n:  # duplication
-                rec = cell._static_rec[-choice - 2 * n - 1]
-                recs.extend((rec, rec))
-        return recs
-
-    def config_key_of(self, lane: int) -> tuple:
-        """The lane's configuration digest, bit-identical to the scalar
-        ``ExecutionState.config_key()``."""
-        cell = self.cell
-        keys = []
-        for rec in self._board_recs(lane):
-            cell._key_id_of(rec)
-            keys.append(cell._rec_key[rec])
-        frozen_part = None
-        if cell.model.asynchronous:
-            part = []
-            for v in _iter_bits(int(self.active[lane])):
-                rec = (cell._static_rec[v - 1] if cell._static_rec is not None
-                       else int(self.frozen[lane, v - 1]))
-                cell._frozen_key_id_of(rec)
-                part.append((v, cell._rec_key[rec]))
-            part.sort()
-            frozen_part = tuple(part)
-        row = self.act[lane]
-        base = (
-            tuple(keys),
-            frozenset(_iter_bits(int(self.written[lane]))),
-            frozenset(_iter_bits(int(self.active[lane]))),
-            frozen_part,
-            tuple((v, int(row[v - 1])) for v in cell.graph.nodes()
-                  if row[v - 1] >= 0),
-        )
-        if cell.faults.enabled:
-            return base + (
-                frozenset(_iter_bits(int(self.crashed[lane]))),
-                (int(self.cl[lane]), int(self.ll[lane]),
-                 int(self.dl[lane])),
-            )
-        return base
-
-    def suffix_bound_of(self, lane: int) -> Optional[tuple]:
-        """The lane's admissible completion bound, field-identical to
-        the scalar ``ExecutionState.suffix_bound()``."""
-        cell = self.cell
-        unterminated = (cell.n - int(self.written[lane]).bit_count()
-                        - int(self.crashed[lane]).bit_count())
-        if unterminated == 0:
-            return (False, 0, 0)
-        active_mask = int(self.active[lane])
-        active_count = active_mask.bit_count()
-        deadlock_possible = active_count != unterminated
-        budget = cell.bit_budget
-        top = 0
-        total = 0
-        if cell.model.asynchronous:
-            for v in _iter_bits(active_mask):
-                rec = (cell._static_rec[v - 1]
-                       if cell._static_rec is not None
-                       else int(self.frozen[lane, v - 1]))
-                try:
-                    bits = cell._bits_of(rec)
-                except ProtocolViolation:
-                    return None  # the write itself will raise it
-                if bits > top:
-                    top = bits
-                total += bits
-            inactive = unterminated - active_count
-        else:
-            inactive = unterminated
-        if inactive:
-            if budget is None:
-                return None
-            if budget > top:
-                top = budget
-            total += inactive * budget
-        dups_left = int(self.dl[lane])
-        if dups_left:
-            total += dups_left * top
-        return (deadlock_possible, top, total)
-
     # -- results -------------------------------------------------------
 
     def result_of(self, lane: int) -> RunResult:
         """Freeze a terminal lane into a :class:`RunResult`,
-        field-identical to the scalar ``result()``.  Decoding many
-        lanes of one batch?  Use :meth:`_result_builder` — this
-        convenience re-gathers the batch columns on every call."""
-        return self._result_builder()(lane)
-
-    def _result_builder(self):
-        """A terminal-lane → :class:`RunResult` closure over columns
-        gathered once per batch (``result_of`` per lane costs O(batch)
-        in whole-array numpy reads, which dominates enumeration)."""
+        field-identical to the scalar ``result()``."""
         cell = self.cell
         n = cell.n
-        done_l = self.done_mask().tolist()
-        maxb_l = self.maxb.tolist()
-        totb_l = self.totb.tolist()
-        crashed_l = self.crashed.tolist()
-        act_l = self.act.tolist()
-        view_l = self.view.tolist() if self.view is not None else None
-        sched_tuple = cell._sched_tuple_of
-        sched_l = self.sched.tolist() if self.sched is not None else None
-        nodes = list(cell.graph.nodes())
-        static = cell._static_rec
-
-        def build(lane: int) -> RunResult:
-            if sched_l is None:
-                raise ValueError("schedules were not tracked for this batch")
-            schedule = sched_tuple(sched_l[lane])
-            if view_l is not None:
-                recs = cell._view_recs(view_l[lane])
-            else:
-                recs = []
-                for choice in schedule:
-                    if choice > 0:
-                        recs.append(static[choice - 1])
-                    elif -choice > 2 * n:  # duplication
-                        rec = static[-choice - 2 * n - 1]
-                        recs.extend((rec, rec))
-            entries: list[Entry] = []
-            pos = 0
-            for event0, choice in enumerate(schedule):
-                event = event0 + 1
-                if choice > 0 or -choice > 2 * n:
-                    author = choice if choice > 0 else -choice - 2 * n
-                    copies = 1 if choice > 0 else 2
-                    for _ in range(copies):
-                        rec = recs[pos]
-                        entries.append(Entry(
-                            index=len(entries), author=author,
-                            payload=cell._rec_payload[rec],
-                            bits=cell._bits_of(rec), round_written=event))
-                        pos += 1
-            board = Whiteboard(entries=entries)
-            success = done_l[lane]
-            output = None
-            output_error = None
-            if success:
-                view = BoardView(tuple(e.payload for e in entries))
-                if cell.faults.enabled:
-                    try:
-                        output = cell.proto.output(view, n)
-                    except Exception as exc:  # noqa: BLE001 - verdict
-                        output_error = f"{type(exc).__name__}: {exc}"
-                else:
+        schedule = self.schedule_of(lane)
+        if self.view is not None:
+            recs = cell._view_recs(int(self.view[lane]))
+        else:
+            static = cell._static_rec
+            recs = []
+            for choice in schedule:
+                if choice > 0:
+                    recs.append(static[choice - 1])
+                elif -choice > 2 * n:  # duplication
+                    rec = static[-choice - 2 * n - 1]
+                    recs.extend((rec, rec))
+        entries: list[Entry] = []
+        pos = 0
+        for event0, choice in enumerate(schedule):
+            event = event0 + 1
+            if choice > 0 or -choice > 2 * n:
+                author = choice if choice > 0 else -choice - 2 * n
+                copies = 1 if choice > 0 else 2
+                for _ in range(copies):
+                    rec = recs[pos]
+                    entries.append(Entry(
+                        index=len(entries), author=author,
+                        payload=cell._rec_payload[rec],
+                        bits=cell._bits_of(rec), round_written=event))
+                    pos += 1
+        board = Whiteboard(entries=entries)
+        success = (int(self.written[lane])
+                   | int(self.crashed[lane])).bit_count() == n
+        output = None
+        output_error = None
+        if success:
+            view = BoardView(tuple(e.payload for e in entries))
+            if cell.faults.enabled:
+                try:
                     output = cell.proto.output(view, n)
-            row = act_l[lane]
-            activation = {v: row[v - 1] for v in sorted(
-                (v for v in nodes if row[v - 1] >= 0),
-                key=lambda v: (row[v - 1], v))}
-            return RunResult(
-                success=success,
-                output=output,
-                board=board,
-                write_order=tuple(e.author for e in entries),
-                activation_round=activation,
-                max_message_bits=maxb_l[lane],
-                total_bits=totb_l[lane],
-                model=cell.model,
-                protocol_name=cell.proto.name,
-                n=n,
-                schedule=schedule,
-                crashed=frozenset(_iter_bits(crashed_l[lane])),
-                output_error=output_error,
-            )
-
-        return build
+                except Exception as exc:  # noqa: BLE001 - verdict
+                    output_error = f"{type(exc).__name__}: {exc}"
+            else:
+                output = cell.proto.output(view, n)
+        row = self.act[lane].tolist()
+        activation = {v: row[v - 1] for v in sorted(
+            (v for v in cell.graph.nodes() if row[v - 1] >= 0),
+            key=lambda v: (row[v - 1], v))}
+        return RunResult(
+            success=success,
+            output=output,
+            board=board,
+            write_order=tuple(e.author for e in entries),
+            activation_round=activation,
+            max_message_bits=int(self.maxb[lane]),
+            total_bits=int(self.totb[lane]),
+            model=cell.model,
+            protocol_name=cell.proto.name,
+            n=n,
+            schedule=schedule,
+            crashed=frozenset(_iter_bits(int(self.crashed[lane]))),
+            output_error=output_error,
+        )
 
     # -- work partitioning ---------------------------------------------
 
@@ -1069,37 +944,23 @@ def partition_weighted(weights, lots: int) -> list:
 def partition_lots(batch: BatchedExecutionState, lots: int) -> list:
     """Split lanes into ``lots`` roughly equal-weight groups — the LPT
     greedy of :func:`partition_weighted` over :meth:`subtree_weights`,
-    the balanced fan-out used before enumeration recursion and by the
-    process-sharded lot drivers."""
+    the balanced fan-out the count walk uses once its frontier outgrows
+    the lane budget."""
     return partition_weighted(batch.subtree_weights(), lots)
 
 
-#: Above this frontier width the enumeration drivers split into lots of
+#: Above this frontier width the count walk splits into lots of
 #: about half the cap before fanning out, bounding peak lane memory.
 _MAX_LANES = 1 << 14
 
 
-def _choice_rank(choice: int, n: int) -> int:
-    """Rank of a choice inside the scalar candidate order: writes
-    ascending, then crash / loss / duplication events ascending."""
-    if choice > 0:
-        return choice
-    v = -choice
-    if v <= n:
-        return n + v
-    if v <= 2 * n:
-        return 2 * n + (v - n)
-    return 3 * n + (v - 2 * n)
-
-
-def _walk_terminals(root: BatchedExecutionState, collect, count_only: bool,
+def _walk_terminals(root: BatchedExecutionState,
                     max_lanes: int = _MAX_LANES) -> int:
-    """Drive the batched frontier to every terminal configuration.
+    """Drive the batched frontier to every terminal configuration and
+    return how many there are.
 
-    ``collect`` (when not ``count_only``) receives ``(batch, lane)``
-    pairs for each terminal lane; returns the terminal count.  Raises
-    :class:`BatchAborted` on any captured per-lane violation — the
-    scalar engine is the authority on *where* in DFS order to raise.
+    Raises :class:`BatchAborted` on any captured per-lane violation —
+    the scalar engine is the authority on *where* in DFS order to raise.
     """
     total = 0
     stack = [root]
@@ -1110,13 +971,7 @@ def _walk_terminals(root: BatchedExecutionState, collect, count_only: bool,
                 raise BatchAborted(
                     f"lane violation: {frontier.violations[frontier.first_violation()]!r}")
             terminal = frontier.terminal_mask()
-            tidx = np.nonzero(terminal)[0]
-            if tidx.size:
-                total += int(tidx.size)
-                if not count_only:
-                    terms = frontier.compact(tidx)
-                    for lane in range(terms.size):
-                        collect(terms, lane)
+            total += int(np.count_nonzero(terminal))
             live = np.nonzero(~terminal)[0]
             if live.size == 0:
                 break
@@ -1145,47 +1000,11 @@ def batched_count_executions(
     re-run the scalar reference."""
     cell = _BatchCell(graph, protocol, model, None, faults)
     root = BatchedExecutionState.root(cell, track_sched=False)
-    return _walk_terminals(root, None, count_only=True)
-
-
-def batched_all_executions(
-    graph: LabeledGraph,
-    protocol: Protocol,
-    model: ModelSpec,
-    bit_budget: Optional[int] = None,
-    faults: Union[None, str, FaultSpec] = None,
-):
-    """Every terminal :class:`RunResult` of the cell, in the scalar
-    DFS order.
-
-    The tree walk is eager (breadth-wise, so results must be re-sorted
-    into depth-first order by schedule rank) and raises
-    :class:`BatchAborted` *before* anything is yielded if any lane
-    violated; per-leaf decoding is deferred to iteration time, so
-    partially consumed iterators never pay for unread results.
-    """
-    cell = _BatchCell(graph, protocol, model, bit_budget, faults)
-    root = BatchedExecutionState.root(cell)
-    leaves: list[tuple[BatchedExecutionState, int]] = []
-    _walk_terminals(root, lambda batch, lane: leaves.append((batch, lane)),
-                    count_only=False)
-    n = cell.n
-    leaves.sort(key=lambda item: tuple(
-        _choice_rank(c, n) for c in item[0].schedule_of(item[1])))
-
-    def _results() -> Iterator[RunResult]:
-        builders: dict[int, Any] = {}  # id() is stable: leaves pins batches
-        for batch, lane in leaves:
-            builder = builders.get(id(batch))
-            if builder is None:
-                builder = builders[id(batch)] = batch._result_builder()
-            yield builder(lane)
-
-    return _results()
+    return _walk_terminals(root)
 
 
 # ----------------------------------------------------------------------
-# lot-sharded enumeration: picklable sub-tasks over schedule prefixes
+# process-stable configuration digests
 # ----------------------------------------------------------------------
 
 def _normalize_key(obj):
@@ -1209,288 +1028,3 @@ def config_key_digest(key) -> bytes:
     no matter which process computed them)."""
     return hashlib.blake2b(repr(_normalize_key(key)).encode(),
                            digest_size=16).digest()
-
-
-@dataclass(frozen=True)
-class ScheduleLot:
-    """One picklable, replayable enumeration sub-task.
-
-    A lot is a set of schedule-prefix backpointers into one cell's
-    choice tree: each prefix names a subtree root (all prefixes share
-    one depth, so a worker reconstructs its
-    :class:`BatchedExecutionState` slice by replicating the root lane
-    and advancing the prefix choices column-wise).  Workers walk every
-    subtree to its terminals — batched when the cell supports it, by
-    the scalar reference otherwise — and return per-prefix results in
-    scalar DFS order, so the parent can reassemble the global DFS order
-    from submission-ordered lot outputs.
-    """
-
-    graph: LabeledGraph
-    protocol: Protocol
-    model_name: str
-    bit_budget: Optional[int]
-    faults: Optional[str]  # canonical spec string (process-stable)
-    prefixes: tuple[tuple[int, ...], ...]
-    batch: bool
-    collect: bool  # False = count terminals only
-
-    @property
-    def model(self) -> ModelSpec:
-        return MODELS_BY_NAME[self.model_name]
-
-
-def _lot_root_slice(lot: ScheduleLot, cell: _BatchCell,
-                    track_sched: bool) -> BatchedExecutionState:
-    """Reconstruct the lot's frontier slice: replicate the root lane
-    once per prefix, then advance the prefix choices column-wise (all
-    prefixes share one depth by construction)."""
-    root = BatchedExecutionState.root(cell, track_sched=track_sched)
-    k = len(lot.prefixes)
-    batch = root.compact(np.zeros(k, dtype=np.int64))
-    for level in range(len(lot.prefixes[0])):
-        batch.advance_all(np.array([p[level] for p in lot.prefixes],
-                                   dtype=np.int64))
-    return batch
-
-
-def _run_lot_batched(lot: ScheduleLot, model: ModelSpec):
-    cell = _BatchCell(lot.graph, lot.protocol, model, lot.bit_budget,
-                      lot.faults)
-    if not lot.collect:
-        slice_ = _lot_root_slice(lot, cell, track_sched=False)
-        return _walk_terminals(slice_, None, count_only=True)
-    slice_ = _lot_root_slice(lot, cell, track_sched=True)
-    leaves: list[tuple[BatchedExecutionState, int]] = []
-    _walk_terminals(slice_, lambda batch, lane: leaves.append((batch, lane)),
-                    count_only=False)
-    n = cell.n
-    leaves.sort(key=lambda item: tuple(
-        _choice_rank(c, n) for c in item[0].schedule_of(item[1])))
-    depth = len(lot.prefixes[0])
-    position = {prefix: i for i, prefix in enumerate(lot.prefixes)}
-    groups: list[list[RunResult]] = [[] for _ in lot.prefixes]
-    builders: dict[int, Any] = {}
-    for batch, lane in leaves:
-        builder = builders.get(id(batch))
-        if builder is None:
-            builder = builders[id(batch)] = batch._result_builder()
-        groups[position[batch.schedule_of(lane)[:depth]]].append(builder(lane))
-    return groups
-
-
-def _run_lot_scalar(lot: ScheduleLot, model: ModelSpec):
-    total = 0
-    groups: list[list[RunResult]] = []
-    for prefix in lot.prefixes:
-        state = ExecutionState.initial(lot.graph, lot.protocol, model,
-                                       lot.bit_budget, faults=lot.faults)
-        for choice in prefix:
-            state.advance(choice)
-        group: Optional[list[RunResult]] = [] if lot.collect else None
-
-        def dfs() -> int:
-            if state.terminal:
-                if group is not None:
-                    group.append(state.result())
-                return 1
-            count = 0
-            for choice in state.candidates:
-                checkpoint = state.snapshot()
-                state.advance(choice)
-                count += dfs()
-                state.restore(checkpoint)
-            return count
-
-        total += dfs()
-        if group is not None:
-            groups.append(group)
-    return groups if lot.collect else total
-
-
-def run_schedule_lot(lot: ScheduleLot):
-    """Worker entry point (module-level so process pools can pickle it).
-
-    Returns ``("ok", value)`` — per-prefix result lists in scalar DFS
-    order when collecting, the terminal count otherwise — or
-    ``("error", message)``.  Errors are *markers*, never re-raised
-    results: the parent discards the whole sharded attempt and re-runs
-    the serial authority, which raises the original exception at
-    exactly the right point in DFS order.
-    """
-    try:
-        model = lot.model
-        if lot.batch and batch_supported(lot.graph, lot.protocol, model):
-            try:
-                return ("ok", _run_lot_batched(lot, model))
-            except BatchAborted:
-                pass  # scalar walk below raises/collects authoritatively
-        return ("ok", _run_lot_scalar(lot, model))
-    except Exception as exc:  # noqa: BLE001 - marker, parent re-runs serial
-        return ("error", f"{type(exc).__name__}: {exc}")
-
-
-def expand_enumeration_units(
-    graph: LabeledGraph,
-    protocol: Protocol,
-    model: ModelSpec,
-    bit_budget: Optional[int],
-    faults: Union[None, str, FaultSpec],
-    min_prefixes: int,
-    max_depth: int = 3,
-) -> list:
-    """Bounded scalar DFS expansion into an ordered *unit* list.
-
-    Units appear in exact scalar DFS order: ``("result", RunResult)``
-    for configurations that terminate above the frontier, and
-    ``("prefix", schedule)`` for depth-``d`` subtree roots.  All
-    prefixes share the one depth ``d`` — the smallest depth (iterative
-    deepening up to ``max_depth``) whose frontier has at least
-    ``min_prefixes`` subtrees, so lots reconstruct their batched slice
-    with column-wise prefix replay.  Exceptions propagate raw; callers
-    fall back to the serial authority, which raises identically.
-    """
-    for depth in range(1, max_depth + 1):
-        units: list = []
-        state = ExecutionState.initial(graph, protocol, model, bit_budget,
-                                       faults=faults)
-
-        def walk(remaining: int) -> None:
-            if state.terminal:
-                units.append(("result", state.result()))
-                return
-            if remaining == 0:
-                units.append(("prefix", state.schedule))
-                return
-            for choice in state.candidates:
-                checkpoint = state.snapshot()
-                state.advance(choice)
-                walk(remaining - 1)
-                state.restore(checkpoint)
-
-        walk(depth)
-        prefixes = sum(1 for kind, _ in units if kind == "prefix")
-        if prefixes == 0 or prefixes >= min_prefixes or depth == max_depth:
-            return units
-    return units  # pragma: no cover - loop always returns
-
-
-def _prefix_weights(prefixes, n: int, faults: Union[None, str, FaultSpec]):
-    """LPT weights for same-depth subtree roots: the
-    :meth:`BatchedExecutionState.subtree_weights` estimate, computable
-    without reconstructing lanes (every prefix event terminates one
-    node, so remaining depth is uniform)."""
-    spec = resolve_faults(faults)
-    slack = 1.0 + (spec.max_crashes + spec.max_losses
-                   + spec.max_duplications)
-    return [math.factorial(min(n - len(p), 20)) * slack for p in prefixes]
-
-
-def _build_lots(graph, protocol, model, bit_budget, faults, prefixes,
-                batch: bool, collect: bool, jobs: int) -> list[ScheduleLot]:
-    canonical = resolve_faults(faults).canonical()
-    weights = _prefix_weights(prefixes, graph.n, faults)
-    return [
-        ScheduleLot(graph, protocol, model.name, bit_budget, canonical,
-                    tuple(prefixes[i] for i in idx.tolist()), batch, collect)
-        for idx in partition_weighted(weights, jobs * 2)
-    ]
-
-
-def _map_lots(lots, jobs: int):
-    """Fan lots through the process backend's submission-ordered map
-    seam (one future per lot — lots are already LPT-balanced)."""
-    from ..runtime.backends import ProcessPoolBackend
-
-    backend = ProcessPoolBackend(jobs=jobs, chunk_size=1)
-    return list(backend.map(run_schedule_lot, lots))
-
-
-def sharded_all_executions(
-    graph: LabeledGraph,
-    protocol: Protocol,
-    model: ModelSpec,
-    bit_budget: Optional[int] = None,
-    faults: Union[None, str, FaultSpec] = None,
-    batch: bool = False,
-    jobs: int = 2,
-) -> Optional[list]:
-    """Every terminal :class:`RunResult`, enumerated by ``jobs`` worker
-    processes over balanced subtree lots, in exact scalar DFS order.
-
-    Returns ``None`` whenever the sharded path cannot *prove* field
-    identity — expansion raised, a worker errored or aborted, or the
-    frontier is too small to split — and the caller falls back to the
-    serial authority (which also re-raises any exception at the right
-    point).  Like the batch knob, sharding never changes an observable
-    value; it only produces the same values on more cores.
-    """
-    if np is None:
-        return None
-    try:
-        units = expand_enumeration_units(graph, protocol, model, bit_budget,
-                                         faults, min_prefixes=2 * jobs)
-    except Exception:  # noqa: BLE001 - serial authority re-raises
-        return None
-    prefixes = [payload for kind, payload in units if kind == "prefix"]
-    if not prefixes:
-        return [payload for _, payload in units]
-    if len(prefixes) < 2:
-        return None
-    lots = _build_lots(graph, protocol, model, bit_budget, faults, prefixes,
-                       batch, collect=True, jobs=jobs)
-    try:
-        outputs = _map_lots(lots, jobs)
-    except Exception:  # noqa: BLE001 - pool failure: serial authority
-        return None
-    per_prefix: dict[tuple[int, ...], list[RunResult]] = {}
-    for lot, (status, value) in zip(lots, outputs):
-        if status != "ok":
-            return None
-        for prefix, group in zip(lot.prefixes, value):
-            per_prefix[prefix] = group
-    results: list[RunResult] = []
-    for kind, payload in units:
-        if kind == "result":
-            results.append(payload)
-        else:
-            results.extend(per_prefix[payload])
-    return results
-
-
-def sharded_count_executions(
-    graph: LabeledGraph,
-    protocol: Protocol,
-    model: ModelSpec,
-    faults: Union[None, str, FaultSpec] = None,
-    batch: bool = False,
-    jobs: int = 2,
-) -> Optional[int]:
-    """Terminal count via worker-sharded subtree lots (``None`` = fall
-    back to the serial path, same contract as
-    :func:`sharded_all_executions`)."""
-    if np is None:
-        return None
-    try:
-        units = expand_enumeration_units(graph, protocol, model, None,
-                                         faults, min_prefixes=2 * jobs)
-    except Exception:  # noqa: BLE001 - serial authority re-raises
-        return None
-    prefixes = [payload for kind, payload in units if kind == "prefix"]
-    terminal_above = sum(1 for kind, _ in units if kind == "result")
-    if not prefixes:
-        return terminal_above
-    if len(prefixes) < 2:
-        return None
-    lots = _build_lots(graph, protocol, model, None, faults, prefixes,
-                       batch, collect=False, jobs=jobs)
-    try:
-        outputs = _map_lots(lots, jobs)
-    except Exception:  # noqa: BLE001 - pool failure: serial authority
-        return None
-    total = terminal_above
-    for status, value in outputs:
-        if status != "ok":
-            return None
-        total += value
-    return total

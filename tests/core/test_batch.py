@@ -5,9 +5,10 @@ semantic authority; :mod:`repro.core.batch` is an equivalence-pinned
 accelerator.  Every test here therefore compares the batched engine
 against the scalar engine *field for field* — full ``RunResult``
 dataclass equality (board entries, activation rounds, bit accounting,
-crashes, decode errors), exact enumeration order, and bit-identical
-configuration digests — across all four timing models and the fault
-spectrum.
+crashes, decode errors) for every terminal lane, the exact set of
+schedules, per-lane violations, and dedupe keys that partition lanes
+exactly like scalar configuration digests — across all four timing
+models and the fault spectrum.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from repro.core.batch import (
     BatchedExecutionState,
     _BatchCell,
     batch_supported,
-    batched_count_executions,
     partition_lots,
 )
-from repro.core.execution import ExecutionState
+from repro.core.execution import ExecutionState, replay_schedule
 from repro.core.models import ALL_MODELS, ASYNC, SIMASYNC, SIMSYNC, SYNC
 from repro.core.simulator import all_executions, count_executions
 from repro.faults.spec import resolve_faults
@@ -53,13 +53,70 @@ FIXTURES = [
 FAULTS = [None, "crash:1", "crash:1,loss:1", "dup:1"]
 
 
+def _batched_walk(graph, proto, model, bit_budget=None, faults=None):
+    """Step the batched frontier generation by generation to the end of
+    the schedule tree.  Returns ``(terminals, dead)``: the ``(batch,
+    lane)`` pairs of every terminal lane and of every lane killed by a
+    captured violation (dead lanes are not expanded further)."""
+    cell = _BatchCell(graph, proto, model, bit_budget, resolve_faults(faults))
+    frontier = BatchedExecutionState.root(cell)
+    terminals, dead = [], []
+    while frontier.size:
+        dead += [(frontier, lane) for lane in sorted(frontier.violations)]
+        live = ~frontier.dead
+        terminal = frontier.terminal_mask() & live
+        terminals += [(frontier, lane)
+                      for lane in np.nonzero(terminal)[0].tolist()]
+        rest = np.nonzero(live & ~terminal)[0]
+        if rest.size == 0:
+            break
+        frontier = frontier.compact(rest)
+        lanes, choices = frontier.expansion()
+        frontier = frontier.fork(lanes, choices)
+    return terminals, dead
+
+
+def _raised(fn):
+    """``(type, message)`` of what ``fn()`` raises."""
+    with pytest.raises(Exception) as excinfo:
+        fn()
+    return type(excinfo.value), str(excinfo.value)
+
+
+def _assert_lanes_match_replay(graph, proto, model, terminals, dead,
+                               bit_budget=None, faults=None):
+    """Every terminal lane's result equals the scalar replay of its
+    schedule, and every dead lane carries exactly the exception that
+    replay raises.  Returns the terminal results keyed by schedule."""
+    def replay(schedule):
+        return replay_schedule(graph, proto, model, schedule, bit_budget,
+                               faults=faults)
+
+    for batch, lane in dead:
+        exc = batch.violations[lane]
+        schedule = batch.schedule_of(lane)
+        assert _raised(lambda: replay(schedule)) == (type(exc), str(exc))
+    results = {}
+    for batch, lane in terminals:
+        schedule = batch.schedule_of(lane)
+        result = batch.result_of(lane)
+        assert result == replay(schedule)  # full dataclass equality
+        results[schedule] = result
+    assert len(results) == len(terminals)  # no schedule walked twice
+    return results
+
+
 @pytest.mark.parametrize("graph,proto,model", FIXTURES)
 @pytest.mark.parametrize("faults", FAULTS)
 def test_all_executions_field_identical(graph, proto, model, faults):
+    """The batched walk reaches exactly the scalar enumeration's
+    schedules, and each terminal lane decodes to the scalar result."""
     scalar = list(all_executions(graph, proto, model, faults=faults))
-    batched = list(all_executions(graph, proto, model, faults=faults,
-                                  batch=True))
-    assert batched == scalar  # full dataclass equality, same order
+    terminals, dead = _batched_walk(graph, proto, model, faults=faults)
+    assert not dead
+    results = _assert_lanes_match_replay(graph, proto, model, terminals,
+                                         dead, faults=faults)
+    assert results == {r.schedule: r for r in scalar}
 
 
 @pytest.mark.parametrize("graph,proto,model", FIXTURES)
@@ -69,40 +126,53 @@ def test_count_executions_identical(graph, proto, model, faults):
             == count_executions(graph, proto, model, faults=faults))
 
 
+def _partition(keys) -> list:
+    """Lane indices grouped by equal key, in first-seen order."""
+    groups: dict = {}
+    for lane, key in enumerate(keys):
+        groups.setdefault(key, []).append(lane)
+    return list(groups.values())
+
+
 @pytest.mark.parametrize("graph,proto,model", FIXTURES)
-def test_config_keys_bit_identical(graph, proto, model):
-    """Batched digests equal scalar ``config_key()`` along every prefix
-    of a breadth-first walk — ``faults=None`` included, whose keys must
-    not grow a fault component."""
-    cell = _BatchCell(graph, proto, model, None, resolve_faults(None))
-    batch = BatchedExecutionState.root(cell)
-    scalars = [ExecutionState.initial(graph, proto, model)]
-    for _ in range(3):
-        assert all(not s.faults.enabled for s in scalars)
-        for lane, state in enumerate(scalars):
-            assert batch.config_key_of(lane) == state.config_key()
+@pytest.mark.parametrize("faults", [None, "crash:1"])
+def test_dedupe_keys_partition_like_config_keys(graph, proto, model, faults):
+    """Two lanes share a batched dedupe key iff their scalar
+    ``config_key()`` digests are equal, along every generation of a
+    breadth-first walk (the beam's dedupe currency); the per-batch key
+    builder agrees with the per-lane method."""
+    spec = resolve_faults(faults)
+    cell = _BatchCell(graph, proto, model, None, spec)
+    batch = BatchedExecutionState.root(cell, track_bp=True)
+    scalars = [ExecutionState.initial(graph, proto, model, faults=spec)]
+    for _ in range(4):
+        keys = [batch.dedupe_key_of(lane) for lane in range(batch.size)]
+        build = batch._dedupe_key_builder()
+        assert [build(lane) for lane in range(batch.size)] == keys
+        assert _partition(keys) == _partition(
+            s.config_key() for s in scalars)
         lanes, choices = batch.expansion()
         if lanes.size == 0:
             break
         batch = batch.fork(lanes, choices)
         scalars = [scalars[p].copy().advance(c)
                    for p, c in zip(lanes.tolist(), choices.tolist())]
-        live = np.nonzero(~batch.terminal_mask())[0]
-        batch = batch.compact(live)
-        scalars = [scalars[i] for i in live.tolist()]
-        if not scalars:
-            break
 
 
 def test_bit_budget_violation_matches_scalar():
+    """A tight budget kills lanes with the scalar engine's exception,
+    and the violation the scalar enumeration raises first is one of
+    them."""
     g = gen.random_k_degenerate(5, 2, seed=0)
     proto = DegenerateBuildProtocol(2)
-    with pytest.raises(Exception) as scalar_exc:
-        list(all_executions(g, proto, SIMASYNC, bit_budget=8))
-    with pytest.raises(Exception) as batched_exc:
-        list(all_executions(g, proto, SIMASYNC, bit_budget=8, batch=True))
-    assert type(batched_exc.value) is type(scalar_exc.value)
-    assert str(batched_exc.value) == str(scalar_exc.value)
+    terminals, dead = _batched_walk(g, proto, SIMASYNC, bit_budget=8)
+    assert dead
+    _assert_lanes_match_replay(g, proto, SIMASYNC, terminals, dead,
+                               bit_budget=8)
+    scalar = _raised(lambda: list(all_executions(g, proto, SIMASYNC,
+                                                 bit_budget=8)))
+    assert scalar in {(type(b.violations[lane]), str(b.violations[lane]))
+                      for b, lane in dead}
 
 
 def test_partition_lots_covers_expansion():
@@ -224,18 +294,18 @@ def test_random_cells_batched_equals_scalar(cell):
         scalar_exc = None
     except Exception as exc:  # budget violations must match too
         scalar, scalar_exc = None, exc
-    try:
-        batched = list(all_executions(graph, proto, model, bit_budget=budget,
-                                      faults=faults, batch=True))
-        batched_exc = None
-    except Exception as exc:
-        batched, batched_exc = None, exc
+    terminals, dead = _batched_walk(graph, proto, model, bit_budget=budget,
+                                    faults=faults)
+    results = _assert_lanes_match_replay(graph, proto, model, terminals,
+                                         dead, bit_budget=budget,
+                                         faults=faults)
     if scalar_exc is None:
-        assert batched_exc is None
-        assert batched == scalar
+        assert not dead
+        assert results == {r.schedule: r for r in scalar}
         if budget is None:
             assert (count_executions(graph, proto, model, faults=faults,
                                      batch=True) == len(scalar))
     else:
-        assert type(batched_exc) is type(scalar_exc)
-        assert str(batched_exc) == str(scalar_exc)
+        assert (type(scalar_exc), str(scalar_exc)) in {
+            (type(b.violations[lane]), str(b.violations[lane]))
+            for b, lane in dead}

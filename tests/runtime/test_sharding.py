@@ -3,11 +3,12 @@
 :mod:`repro.runtime.sharding` lowers a task list into whole-task items
 plus schedule-prefix lots, the process backend fans them through its
 ordinary ``map`` seam, and ``reassemble`` folds the per-prefix partial
-aggregates back in DFS unit order.  The contract mirrors the batch
-knob's: the merged :class:`TaskOutcome` is field-identical to
-``task.execute()``, any failure falls back to the serial authority, and
-the whole mechanism is invisible to campaign fingerprints (a sharded
-cell is the same work).
+aggregates back in DFS unit order.  The contract: the merged
+:class:`TaskOutcome` is field-identical to ``task.execute()`` across
+models and fault budgets, any failure falls back to the serial
+authority (which raises exactly what a serial run raises), and the whole
+mechanism is invisible to campaign fingerprints (a sharded cell is the
+same work).
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.analysis.checkers import default_checker
-from repro.core.models import MODELS_BY_NAME
+from repro.core.models import MODELS_BY_NAME, SIMASYNC
+from repro.core.simulator import all_executions
 from repro.graphs import generators as gen
 from repro.protocols.bfs import EobBfsProtocol
 from repro.protocols.build import DegenerateBuildProtocol
@@ -42,6 +44,21 @@ def _stress_plan(sizes=(4, 6), faults=None, protocol=None, models=None):
         proto, models, graphs, mode="stress",
         checker=default_checker(proto), exhaustive_threshold=6,
         bit_budget=lambda n: 4096, faults=faults, keep_runs=True)
+
+
+#: One n=6 cell per (protocol, model) pair the lot workers must replay
+#: faithfully: static and board-dependent messages, simultaneous and
+#: free activation.
+SHARD_FIXTURES = [
+    pytest.param(gen.random_k_degenerate(6, 2, seed=0),
+                 DegenerateBuildProtocol(2), "SIMASYNC", id="build-simasync"),
+    pytest.param(gen.random_k_degenerate(6, 2, seed=1),
+                 DegenerateBuildProtocol(2), "SIMSYNC", id="build-simsync"),
+    pytest.param(gen.random_connected_graph(6, 0.7, seed=2),
+                 EobBfsProtocol(), "ASYNC", id="eob-async"),
+    pytest.param(gen.random_connected_graph(6, 0.5, seed=3),
+                 EobBfsProtocol(), "SYNC", id="eob-sync"),
+]
 
 
 def _outcome_key(outcome):
@@ -84,6 +101,25 @@ class TestLower:
 
 
 class TestMergeIdentity:
+    @pytest.mark.parametrize("graph,proto,model", SHARD_FIXTURES)
+    @pytest.mark.parametrize("faults", [None, "crash:1"])
+    def test_fixture_matrix_matches_execute(self, graph, proto, model,
+                                            faults):
+        """lower -> per-item execution -> reassemble equals the serial
+        task across models and fault budgets, and the cell really
+        sharded (a silent whole-task fallback would pass trivially)."""
+        plan = ExecutionPlan.build(
+            proto, [MODELS_BY_NAME[model]], [graph], mode="stress",
+            checker=default_checker(proto), exhaustive_threshold=6,
+            faults=faults, keep_runs=True)
+        tasks = list(plan.tasks)
+        items, layout = sharding.lower(tasks, 2)
+        assert layout[0][0] == "shard"
+        outputs = [_execute_item(item) for item in items]
+        assert all(status == "ok" for status, _ in outputs)
+        [outcome] = list(sharding.reassemble(tasks, layout, outputs))
+        assert _outcome_key(outcome) == _outcome_key(tasks[0].execute())
+
     @pytest.mark.parametrize("faults", [None, "crash:1"])
     def test_in_process_merge_matches_execute(self, faults):
         plan = _stress_plan(sizes=(6,), faults=faults)
@@ -115,6 +151,29 @@ class TestMergeIdentity:
             outputs = [_execute_item(item) for item in items]
             [outcome] = list(sharding.reassemble([task], layout, outputs))
             assert _outcome_key(outcome) == _outcome_key(task.execute())
+
+    def test_budget_violation_raises_like_serial(self):
+        """A bit budget the parent expansion survives but a deeper write
+        breaks: every lot fails in its worker, and the pooled run raises
+        the serial run's exception type and message."""
+        from repro.protocols.census import CENSUS_BY_KEY
+
+        entry = CENSUS_BY_KEY["mis-greedy"]
+        proto = entry.instantiate()
+        plan = ExecutionPlan.build(
+            proto, [MODELS_BY_NAME[entry.model]],
+            [gen.random_even_odd_bipartite(6, 0.4, seed=0)],
+            mode="exhaustive", bit_budget=32, keep_runs=False,
+            checker=default_checker(proto))
+        tasks = list(plan.tasks)
+        _, layout = sharding.lower(tasks, 2)
+        assert layout[0][0] == "shard"  # the violation sits below the lots
+        with pytest.raises(Exception) as serial:
+            tasks[0].execute()
+        with pytest.raises(Exception) as pooled:
+            list(ProcessPoolBackend(jobs=2).run(tasks))
+        assert type(pooled.value) is type(serial.value)
+        assert str(pooled.value) == str(serial.value)
 
     def test_worker_error_falls_back_to_serial(self):
         plan = _stress_plan(sizes=(6,))
@@ -197,3 +256,26 @@ class TestShardTelemetry:
         assert tracer.metrics.counter("shard.fallbacks").value == 1
         (event,) = [e for e in tracer.events if e[0] == "shard.fallback"]
         assert event[2]["reason"] == "lot-error"
+
+
+def test_expansion_units_preserve_dfs_order():
+    """Parent expansion is a prefix-exact reordering of the serial DFS:
+    replaying each unit's subtree in unit order reproduces the full
+    serial enumeration."""
+    g = gen.random_k_degenerate(5, 2, seed=0)
+    proto = DegenerateBuildProtocol(2)
+    units = sharding.expand_enumeration_units(g, proto, SIMASYNC, None, None,
+                                              min_prefixes=4)
+    prefixes = [p for kind, p in units if kind == "prefix"]
+    assert len(prefixes) >= 4
+    assert len({len(p) for p in prefixes}) == 1  # uniform depth
+    serial = list(all_executions(g, proto, SIMASYNC))
+    rebuilt = []
+    for kind, payload in units:
+        if kind == "result":
+            rebuilt.append(payload)
+        else:
+            for result in serial:
+                if result.schedule[:len(payload)] == payload:
+                    rebuilt.append(result)
+    assert rebuilt == serial

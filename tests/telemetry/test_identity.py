@@ -1,7 +1,7 @@
 """The observation-only invariant, pinned.
 
 Telemetry must never change what the engine computes: for every
-jobs x batch x faults combination, the merged report with tracing ON is
+jobs x beam-pass x faults combination, the merged report with tracing ON is
 field-identical to the report with tracing OFF, and the deterministic
 kernel counters a traced run reports equal the ``SearchStats`` numbers
 the strategies themselves accumulated.
@@ -11,7 +11,11 @@ import json
 
 import pytest
 
-from repro.adversaries import SearchContext, default_search_portfolio
+from repro.adversaries import (
+    BeamSearchAdversary,
+    SearchContext,
+    default_search_portfolio,
+)
 from repro.analysis.checkers import default_checker
 from repro.core.models import MODELS_BY_NAME
 from repro.graphs import generators as gen
@@ -21,13 +25,21 @@ from repro.runtime.plan import ExecutionPlan
 from repro.telemetry import KernelStats, TaskCollection, set_tracing
 
 
-def _stress_plan(sizes=(4, 6), faults=None, batch=None):
+def _portfolio(batch):
+    """The default portfolio with its beam pinned to one pass."""
+    return [BeamSearchAdversary(width=8, restarts=1, seed=0, batch=batch)
+            if isinstance(strategy, BeamSearchAdversary) else strategy
+            for strategy in default_search_portfolio()]
+
+
+def _stress_plan(sizes=(4, 6), faults=None, batch=True):
     proto = DegenerateBuildProtocol(2)
     graphs = [gen.random_k_degenerate(n, 2, seed=0) for n in sizes]
     return ExecutionPlan.build(
         proto, [MODELS_BY_NAME["SIMASYNC"]], graphs, mode="stress",
+        adversaries=_portfolio(batch),
         checker=default_checker(proto), exhaustive_threshold=5,
-        bit_budget=lambda n: 4096, faults=faults, batch=batch)
+        bit_budget=lambda n: 4096, faults=faults)
 
 
 def _report_key(report):
@@ -41,7 +53,7 @@ def _run(plan, backend):
 
 class TestTraceOnEqualsTraceOff:
     @pytest.mark.parametrize("jobs", [None, 2])
-    @pytest.mark.parametrize("batch", [None, True])
+    @pytest.mark.parametrize("batch", [False, True])
     @pytest.mark.parametrize("faults", [None, "crash:1"])
     def test_reports_field_identical(self, jobs, batch, faults):
         backend = (None if jobs is None

@@ -190,6 +190,66 @@ class TestCommands:
         assert "[store: 0 hits, 1 executed]" in capsys.readouterr().out
 
 
+#: One representative command line per subcommand that takes the option.
+_JOBS_COMMANDS = [
+    ["stress", "--protocol", "eob-bfs"],
+    ["sweep", "--protocol", "eob-bfs"],
+    ["campaign", "run", "--store", "x.db", "--quick"],
+    ["campaign", "claims"],
+    ["reproduce-all"],
+]
+_THRESHOLD_COMMANDS = [
+    ["stress", "--protocol", "eob-bfs"],
+    ["sweep", "--protocol", "eob-bfs"],
+    ["campaign", "run", "--store", "x.db", "--protocol", "eob-bfs"],
+    ["campaign", "gc", "--store", "x.db", "--protocol", "eob-bfs"],
+]
+
+
+class TestNumericArguments:
+    """Out-of-range numbers are usage errors (exit 2 with an ``error:``
+    line naming the option), never a traceback or a silent accept."""
+
+    @staticmethod
+    def _usage_error(argv, capsys) -> str:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        return err
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    @pytest.mark.parametrize("argv", _JOBS_COMMANDS,
+                             ids=lambda argv: "-".join(argv[:2]))
+    def test_jobs_must_be_positive(self, argv, value, capsys):
+        err = self._usage_error(argv + ["--jobs", value], capsys)
+        assert "--jobs" in err
+
+    @pytest.mark.parametrize("argv", _THRESHOLD_COMMANDS,
+                             ids=lambda argv: "-".join(argv[:2]))
+    def test_threshold_must_be_non_negative(self, argv, capsys):
+        err = self._usage_error(argv + ["--threshold", "-1"], capsys)
+        assert "--threshold" in err
+
+    @pytest.mark.parametrize("value", ["2", "-0.1", "nan", "most"])
+    def test_expect_hit_rate_must_be_a_fraction(self, value, capsys):
+        err = self._usage_error(
+            ["campaign", "run", "--store", "x.db", "--quick",
+             "--expect-hit-rate", value], capsys)
+        assert "--expect-hit-rate" in err
+
+    def test_boundary_values_parse(self):
+        p = build_parser()
+        args = p.parse_args(["stress", "--protocol", "eob-bfs",
+                             "--jobs", "1", "--threshold", "0"])
+        assert args.jobs == 1 and args.threshold == 0
+        for rate in ("0", "1"):
+            args = p.parse_args(["campaign", "run", "--store", "x.db",
+                                 "--quick", "--expect-hit-rate", rate])
+            assert args.expect_hit_rate == float(rate)
+
+
 class TestCampaignParser:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):

@@ -73,7 +73,7 @@ def _scale_curve_markers() -> list[str]:
     kept the curve bending, so each one is a marker.
     """
     return ([f'"n": {n}' for n in (5, 6, 7, 8, 9)]
-            + ['"batched_seconds"', '"sharded_seconds"'])
+            + ['"batched_seconds"'])
 
 
 #: Committed report sections and the markers that prove freshness.  A
@@ -304,16 +304,13 @@ def render_scale_curve() -> str:
     lines = ["", f"Exhaustive enumeration curve ({curve.get('fixture', '?')})",
              ""]
     lines.append(f"{'n':>3} {'executions':>12} {'scalar':>10} "
-                 f"{'batched':>10} {'sharded':>10}")
+                 f"{'batched':>10}")
     for row in curve.get("rows", []):
         scalar = row.get("scalar_seconds")
         scalar_cell = f"{scalar:.4f}s" if scalar is not None else "(cliff)"
-        sharded = row.get("sharded_seconds")
-        sharded_cell = f"{sharded:.4f}s" if sharded is not None else "-"
         lines.append(
             f"{row.get('n', '?'):>3} {row.get('executions', '?'):>12} "
-            f"{scalar_cell:>10} {row.get('batched_seconds', 0):>9.4f}s "
-            f"{sharded_cell:>10}"
+            f"{scalar_cell:>10} {row.get('batched_seconds', 0):>9.4f}s"
         )
     return "\n".join(lines)
 
