@@ -49,19 +49,22 @@ class BranchAndBoundAdversary(AdversarySearch):
       keep the first-discovered completion — the same rule the incumbent
       update uses — a table-backed sweep returns the field-identical
       witness of the plain sweep, just cheaper.
-    * **Admissible-bound pruning** (shared-table contexts, ``bounds``
-      on).  Before expanding a subtree the sweep composes the state's
+    * **Admissible-bound pruning** (``bounds`` on, with or without a
+      table).  Before expanding a subtree the sweep takes the state's
       intrinsic :meth:`~repro.core.execution.ExecutionState.
-      suffix_bound` with any bound the table stored for the
-      configuration; a subtree whose composed bound cannot beat the
-      incumbent — ``(deadlock, max bits, total bits)`` rank at most the
-      incumbent's — is skipped entirely.  Admissibility (the bound is
-      never below the true subtree maximum) plus the first-on-tie
-      incumbent rule make pruning invisible to the returned witness:
-      every skipped completion would have lost (or tie-lost) the
-      incumbent update.  Truncated and pruned subtrees *store* their
-      bound in the table, so later passes — and, through the persistent
-      frontier store, later runs — prune them without a single step.
+      suffix_bound` — composed, in shared-table contexts, with any bound
+      the table stored for the configuration; a subtree whose bound
+      cannot beat the incumbent — ``(deadlock, max bits, total bits)``
+      rank at most the incumbent's — is skipped entirely.  Admissibility
+      (the bound is never below the true subtree maximum) plus the
+      first-on-tie incumbent rule make pruning invisible to the returned
+      witness: every skipped completion would have lost (or tie-lost)
+      the incumbent update.  Pruning changes only the work done — the
+      witness's ``explored`` count and the kernel step counters, which
+      reports record — never the witness fields.  With a table,
+      truncated and pruned subtrees *store* their bound, so later
+      passes — and, through the persistent frontier store, later runs —
+      prune them without a single step.
       Pruning coexists with the frontier bookkeeping: a pruned child
       whose composed bound an earlier sibling's completion dominates is
       *absorbed* (dominance filtering would have dropped everything it
@@ -70,15 +73,12 @@ class BranchAndBoundAdversary(AdversarySearch):
       completions plus a bound over the pruned remainder — which later
       passes consume like an exact hit once their incumbent beats the
       remainder bound.
-      One caveat: a pruned subtree is never stepped, so a
-      ``MessageTooLarge`` a boundless sweep would have raised inside it
-      is not raised — a search-order artifact (exhaustive enumeration
-      still surfaces the violating schedule; pruning only engages above
-      the exhaustive threshold).  The table-free sweep never prunes:
-      pruning would leave the witness alone but change the witness's
-      ``explored`` count and the kernel step counters, which reports
-      record, so it stays the plain unbounded loop until bounding
-      without a table is adopted (and re-measured) on its own.
+      One caveat, for the table-free and the tabled sweep alike: a
+      pruned subtree is never stepped, so a ``MessageTooLarge`` a
+      boundless sweep would have raised inside it is not raised — a
+      search-order artifact (exhaustive enumeration still surfaces the
+      violating schedule; pruning only engages above the exhaustive
+      threshold).
 
     Within ``max_steps`` the sweep is complete, so the witness is the
     exact worst case (ties broken towards the DFS-first schedule).  When
@@ -231,8 +231,8 @@ class BranchAndBoundAdversary(AdversarySearch):
         completion it could hold would have been dominance-dropped
         anyway, so exactness survives); otherwise the parent stores a
         partial frontier plus the joined remainder bound.  Without a
-        table the frontier is dead weight, so none is built — the
-        table-off sweep stays exactly the pre-kernel loop."""
+        table the frontier is dead weight, so none is built: see
+        :meth:`_dfs_plain`."""
         table = self._table
         if table is None:
             return self._dfs_plain(state, rng, limit)
@@ -375,11 +375,17 @@ class BranchAndBoundAdversary(AdversarySearch):
     def _dfs_plain(self, state: ExecutionState,
                    rng: Optional[random.Random],
                    limit: Optional[int]) -> None:
-        """The table-free sweep: identical expansion order and incumbent
-        updates, no frontier bookkeeping."""
+        """The table-free sweep: the tabled sweep's expansion order,
+        incumbent updates and admissible-bound pruning (counted in
+        ``bound_prunes``), without frontier bookkeeping."""
         if state.terminal:
             self._record(state)
             return None
+        if self.bounds:
+            bound = state.suffix_bound()
+            if bound is not None and self._prunable(state, bound):
+                self._meter.stats.bound_prunes += 1
+                return None
         if self._frozen_tail(state):
             checkpoint = state.snapshot()
             self._complete_ascending(state, limit)

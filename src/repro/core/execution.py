@@ -51,7 +51,7 @@ from ..graphs.labeled_graph import LabeledGraph
 from .errors import MessageTooLarge, ProtocolViolation, SchedulerError
 from .models import ModelSpec
 from .protocol import NodeView, Protocol
-from .whiteboard import Whiteboard
+from .whiteboard import BoardView, Whiteboard
 
 __all__ = ["RunResult", "ExecutionState", "Checkpoint", "replay_schedule"]
 
@@ -433,29 +433,36 @@ class ExecutionState:
             return deepcopy(payload)
         return payload
 
-    def _view_of(self, v: int) -> NodeView:
+    def _view_of(self, v: int, board: Optional[BoardView] = None) -> NodeView:
         g = self.graph
         return NodeView(node=v, neighbors=g.neighbors(v), n=g.n,
-                        board=self.board.view())
+                        board=self.board.view() if board is None else board)
 
     def _activation_pass(self, event: int) -> list[int]:
         """Activate eligible nodes; return them so restore can undo.
 
         All awake nodes examine the same board snapshot: activations
         within one round are simultaneous and cannot see each other.
+        The snapshot is built once and shared by every node's view, so
+        protocols that parse the board (keyed on the identity of
+        ``board.payloads``) parse it once per pass.
         """
         added: list[int] = []
         model = self.model
         proto = self.proto
         active, written = self.active, self.written
         crashed = self.crashed
+        board = None
         for v in self.graph.nodes():
             if v in active or v in written or v in crashed:
                 continue
+            if board is None:
+                board = self.board.view()
+            view = self._view_of(v, board)
             if model.simultaneous:
                 should = event == 0  # everyone activates after round 1
             else:
-                should = bool(proto.wants_to_activate(self._view_of(v)))
+                should = bool(proto.wants_to_activate(view))
             if should:
                 active.add(v)
                 self.activation_round[v] = event
@@ -463,9 +470,7 @@ class ExecutionState:
                 if model.asynchronous:
                     # "Once a node raises its hand it cannot change its
                     # mind": compute and freeze the message now.
-                    self.frozen[v] = self._own_payload(
-                        proto.message(self._view_of(v))
-                    )
+                    self.frozen[v] = self._own_payload(proto.message(view))
         return added
 
     def _message_bits(self, writer: int, payload: Any) -> int:

@@ -80,11 +80,11 @@ class BfsRecord:
     d_next: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Epoch:
     """Records of one connected component, in write order."""
 
-    records: list[BfsRecord]
+    records: tuple[BfsRecord, ...]
 
     def layer_nodes(self, k: int) -> list[BfsRecord]:
         return [r for r in self.records if r.layer == k]
@@ -121,12 +121,13 @@ class _Epoch:
         return sum(r.d_next for r in last) - 2 * sum(r.d_same for r in last) == 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoardState:
-    """Parsed view of a BFS whiteboard."""
+    """Parsed view of a BFS whiteboard (immutable: :func:`parse_board`
+    hands one instance to every reader of the same snapshot)."""
 
-    epochs: list[_Epoch]
-    written: set[int]  # every author seen, including INV/ABT writers
+    epochs: tuple[_Epoch, ...]
+    written: frozenset[int]  # every author seen, including INV/ABT writers
     invalid_seen: bool
 
     @property
@@ -141,13 +142,33 @@ class BoardState:
         return None
 
 
+#: ``(payloads, state)`` of the last :func:`parse_board` call.  Holding
+#: the payload tuple keeps its identity from being reused.
+_last_parse: tuple = (None, None)
+
+
 def parse_board(board: BoardView) -> BoardState:
     """Split the whiteboard into epochs (``ROOT`` records open a new one),
-    skipping INV/ABT messages but tracking their authors."""
-    epochs: list[_Epoch] = []
+    skipping INV/ABT messages but tracking their authors.
+
+    Every node awake in one activation pass reads the same snapshot, so
+    the last result is cached on the identity of ``board.payloads`` and
+    shared by every caller that passes the same tuple."""
+    global _last_parse
+    payloads = board.payloads
+    cached, state = _last_parse
+    if cached is payloads:
+        return state
+    state = _parse_payloads(payloads)
+    _last_parse = (payloads, state)
+    return state
+
+
+def _parse_payloads(payloads: tuple) -> BoardState:
+    epochs: list[list[BfsRecord]] = []
     written: set[int] = set()
     invalid_seen = False
-    for payload in board:
+    for payload in payloads:
         tag = payload[0]
         if tag == _TAG_INVALID:
             invalid_seen = True
@@ -163,14 +184,15 @@ def parse_board(board: BoardView) -> BoardState:
             rec = BfsRecord(node, layer, parent, d_prev, d_same, d_next)
             written.add(node)
             if parent == ROOT:
-                epochs.append(_Epoch([rec]))
+                epochs.append([rec])
             else:
                 if not epochs:
                     raise ValueError("BFS record before any root")
-                epochs[-1].records.append(rec)
+                epochs[-1].append(rec)
         else:
             raise ValueError(f"unrecognised whiteboard payload {payload!r}")
-    return BoardState(epochs, written, invalid_seen)
+    return BoardState(tuple(_Epoch(tuple(records)) for records in epochs),
+                      frozenset(written), invalid_seen)
 
 
 def _forest_from_state(state: BoardState) -> BfsForest:

@@ -28,10 +28,12 @@ from repro.adversaries.transposition import (
     merge_bounds,
 )
 from repro.core import ASYNC, SIMASYNC
+from repro.core.errors import MessageTooLarge
 from repro.core.execution import ExecutionState
 from repro.core.simulator import all_executions
 from repro.faults.spec import resolve_faults
 from repro.graphs import generators as gen
+from repro.graphs.families import family
 from repro.protocols.bfs import EobBfsProtocol
 from repro.protocols.build import DegenerateBuildProtocol
 
@@ -141,17 +143,45 @@ class TestBoundedSweepExact:
                                       boundless.total_bits,
                                       boundless.deadlock)
 
-    def test_table_free_sweep_never_prunes(self):
-        """Without a table, bounds change nothing — explored counts stay
-        the boundless ones."""
+    def test_table_free_sweep_prunes_invisibly(self):
+        """Without a table, bounds prune too: fewer nodes explored, the
+        same witness."""
         g = gen.random_k_degenerate(5, 2, seed=0)
         proto = DegenerateBuildProtocol(2)
-        on = BranchAndBoundAdversary(bounds=True).search(
-            g, proto, SIMASYNC, faults="crash:1")
-        off = BranchAndBoundAdversary(bounds=False).search(
-            g, proto, SIMASYNC, faults="crash:1")
-        assert on.explored == off.explored
-        assert on.schedule == off.schedule
+
+        def run(bounds):
+            ctx = SearchContext()
+            adv = BranchAndBoundAdversary(bounds=bounds)
+            return adv.search(g, proto, SIMASYNC, context=ctx,
+                              faults="crash:1"), ctx
+
+        off, _ = run(False)
+        on, ctx = run(True)
+        assert ctx.stats.bound_prunes > 0
+        assert on.explored < off.explored
+        assert (on.schedule, on.bits, on.total_bits, on.deadlock) == (
+            off.schedule, off.bits, off.total_bits, off.deadlock)
+
+    @pytest.mark.parametrize("graph,proto,model,faults,size", [
+        pytest.param(gen.random_k_degenerate(8, 2, seed=0),
+                     DegenerateBuildProtocol(2), SIMASYNC, "crash:1", 57,
+                     id="build-simasync-n8-crash"),
+        pytest.param(family("even-odd-bipartite").sample_in_class(8, 0),
+                     EobBfsProtocol(), ASYNC, None, 74,
+                     id="eob-async-n8"),
+    ])
+    @pytest.mark.parametrize("bounds", [True, False],
+                             ids=["bounds-on", "bounds-off"])
+    def test_table_free_sweep_hides_no_budget_violation(
+            self, graph, proto, model, faults, size, bounds):
+        """A bit budget one below the instance's message size raises,
+        whether or not the table-free sweep prunes."""
+        worst = BranchAndBoundAdversary().search(graph, proto, model,
+                                                 faults=faults)
+        assert worst.bits == size
+        with pytest.raises(MessageTooLarge):
+            BranchAndBoundAdversary(bounds=bounds).search(
+                graph, proto, model, size - 1, faults=faults)
 
 
 class TestBoundLattice:

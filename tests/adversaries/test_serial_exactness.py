@@ -9,8 +9,8 @@ fault × schedule space:
 
 * the unbudgeted branch-and-bound maximum is the exhaustive maximum;
 * its witness replays to exactly the recorded accounting;
-* bounding without a table changes nothing, ``explored`` and the kernel
-  step counters included, and a shared table keeps the witness;
+* bounding without a table keeps the witness and never adds work
+  (``explored`` and kernel steps), and a shared table keeps the witness;
 * the deadlock DFS is sound under every step budget, exact when
   unbudgeted, and deterministic run to run.
 """
@@ -58,6 +58,11 @@ def _stats_tuple(stats):
             stats.batch_children, stats.batch_kept)
 
 
+def _witness_fields(witness):
+    return (witness.schedule, witness.bits, witness.total_bits,
+            witness.deadlock)
+
+
 def _search(strategy, graph, proto, model, faults, table=None):
     ctx = SearchContext(table=table)
     witness = strategy.search(graph, proto, model, context=ctx,
@@ -99,13 +104,21 @@ class TestBranchAndBoundSerial:
             graph, proto, model, faults=faults)
         _assert_replays(witness, graph, proto, model, faults)
 
-    def test_table_free_bounds_change_nothing(self, graph, proto, model,
-                                              faults):
-        bounded = _search(BranchAndBoundAdversary(restarts=0, bounds=True),
-                          graph, proto, model, faults)
-        plain = _search(BranchAndBoundAdversary(restarts=0, bounds=False),
-                        graph, proto, model, faults)
-        assert bounded == plain
+    def test_table_free_bounds_keep_the_witness(self, graph, proto, model,
+                                                faults):
+        ctx_on, ctx_off = SearchContext(), SearchContext()
+        bounded = BranchAndBoundAdversary(restarts=0, bounds=True).search(
+            graph, proto, model, context=ctx_on, faults=faults)
+        plain = BranchAndBoundAdversary(restarts=0, bounds=False).search(
+            graph, proto, model, context=ctx_off, faults=faults)
+        assert _witness_fields(bounded) == _witness_fields(plain)
+        assert bounded.explored <= plain.explored
+        assert ctx_on.stats.steps <= ctx_off.stats.steps
+        assert ctx_off.stats.bound_prunes == 0
+        if model is SIMASYNC and faults == "crash:1":
+            # The faulted BUILD tree branches, and its frozen messages
+            # give finite bounds: pruning must actually engage.
+            assert ctx_on.stats.bound_prunes > 0
 
     def test_shared_table_keeps_the_witness(self, graph, proto, model,
                                             faults):
@@ -114,10 +127,7 @@ class TestBranchAndBoundSerial:
         tabled, _ = _search(BranchAndBoundAdversary(restarts=0),
                             graph, proto, model, faults,
                             table=TranspositionTable())
-        assert ((tabled.schedule, tabled.bits, tabled.total_bits,
-                 tabled.deadlock)
-                == (plain.schedule, plain.bits, plain.total_bits,
-                    plain.deadlock))
+        assert _witness_fields(tabled) == _witness_fields(plain)
 
 
 @pytest.mark.parametrize("graph,proto,model", FIXTURES)
