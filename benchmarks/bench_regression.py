@@ -160,14 +160,17 @@ SEED_BASELINE = {
 
 #: CI gate: minimum acceptable *same-machine* ratio of the seed-style
 #: reference implementation to the current one.  Measured ratios are
-#: ~400x (cold) for the sketch builder and ~2.9x for enumeration; the
-#: floors leave wide margins while still catching any return of
-#: per-update hashing or per-leaf replay.
+#: ~400x (cold) for the sketch builder and ~6-8x for enumeration (~2.6x
+#: before BUILD decoded each distinct board once); the floors leave wide
+#: margins while still catching any return of per-update hashing or
+#: per-leaf replay.
 SMOKE_FLOORS = {
     "sketch_message_ratio": 5.0,
     "all_executions_ratio": 1.5,
     # Full search portfolio vs exhaustive enumeration of the same n=6
-    # instance (measured ~13x; the SIMASYNC collapse alone is ~600x).
+    # instance (measured ~5-6x since the exhaustive reference decodes
+    # each distinct BUILD board once, ~13x before; the SIMASYNC collapse
+    # alone is ~600x).
     "adversary_search_ratio": 2.0,
     # Shared-table portfolio vs the identical table-off portfolio on
     # the asynchronous EOB instance (measured ~2.5x; the floor leaves

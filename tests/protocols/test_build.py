@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import ALL_MODELS, SIMASYNC, MinIdScheduler, RandomScheduler, run
 from repro.core.simulator import all_executions
+from repro.core.whiteboard import BoardView
+from repro.encoding.power_sums import SubsetLookupTable, power_sums
 from repro.graphs import generators as gen
 from repro.graphs.degeneracy import degeneracy
 from repro.graphs.labeled_graph import LabeledGraph
+from repro.protocols import build
 from repro.protocols.build import (
     NOT_IN_CLASS,
     DegenerateBuildProtocol,
@@ -176,3 +179,101 @@ def test_build_roundtrip_property(n, k, seed):
     g = gen.random_k_degenerate(n, k, seed=seed)
     r = run(g, DegenerateBuildProtocol(k), SIMASYNC, RandomScheduler(seed))
     assert r.output == g
+
+
+def build_board(g, k):
+    """The SIMASYNC BUILD messages of ``g``, in ID order."""
+    return [(v, len(g.neighbors(v))) + power_sums(sorted(g.neighbors(v)), k)
+            for v in g.nodes()]
+
+
+def same_output(a, b):
+    return type(a) is type(b) and a == b
+
+
+class TestDecodeCache:
+    """``decode_build_board`` caches its last decode on the order-free,
+    type-exact multiset of the board; the uncached body is ``_decode``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=10 ** 6),
+        st.randoms(use_true_random=False),
+        st.sampled_from(["drop", "dup", "float", "bool", "str"]),
+    )
+    def test_cached_equals_uncached(self, n, k, seed, rnd, variant):
+        g = gen.random_k_degenerate(n, k, seed=seed)
+        payloads = build_board(g, k)
+        boards = []
+        for _ in range(3):
+            rnd.shuffle(payloads)
+            boards.append(list(payloads))
+        twin = list(boards[-1])
+        i = rnd.randrange(n)
+        if variant == "drop":
+            del twin[i]
+        elif variant == "dup":
+            twin.insert(rnd.randrange(n + 1), twin[i])
+        else:
+            # A lookalike: one field swapped for a non-int that may
+            # compare equal to it, e.g. (1.0, 0, 0) == (1, 0, 0).
+            f = rnd.randrange(k + 2)
+            swap = {"float": float(twin[i][f]), "bool": twin[i][f] == 1,
+                    "str": "x"}[variant]
+            twin[i] = twin[i][:f] + (swap,) + twin[i][f + 1:]
+        # Each variant right after its valid twin, then the twin again:
+        # a key that confused the two would serve the wrong decode.
+        for payloads in boards + [twin, boards[-1], twin]:
+            board = BoardView(tuple(payloads))
+            expected = build._decode(board, n, k, None)
+            assert same_output(decode_build_board(board, n, k), expected)
+        assert same_output(build._decode(BoardView(tuple(boards[0])), n, k,
+                                         None), g)
+
+    def test_permuted_board_is_a_hit(self, monkeypatch):
+        g = gen.random_k_degenerate(7, 2, seed=3)
+        payloads = build_board(g, 2)
+        first = decode_build_board(BoardView(tuple(payloads)), 7, 2)
+        calls = []
+        monkeypatch.setattr(build, "_decode",
+                            lambda *args: calls.append(args))
+        again = decode_build_board(BoardView(tuple(reversed(payloads))), 7, 2)
+        assert again is first and first == g and calls == []
+
+    @pytest.mark.parametrize("swap", [1.0, True])
+    def test_equal_lookalike_is_not_served_the_twin(self, swap):
+        valid = BoardView(((1, 0, 0), (2, 0, 0)))
+        assert decode_build_board(valid, 2, 1) == LabeledGraph(2)
+        lookalike = BoardView(((swap, 0, 0), (2, 0, 0)))
+        assert lookalike.payloads == valid.payloads
+        assert same_output(decode_build_board(lookalike, 2, 1),
+                           build._decode(lookalike, 2, 1, None))
+        assert build._last_decode[0] == (2, 1, valid.payloads)
+
+    def test_lookup_decoder_never_reads_or_writes_the_cache(self, monkeypatch):
+        g = gen.random_k_degenerate(6, 2, seed=4)
+        board = BoardView(tuple(build_board(g, 2)))
+        key = (6, 2, tuple(sorted(board.payloads)))
+        poisoned = (key, "poisoned")
+        monkeypatch.setattr(build, "_last_decode", poisoned)
+        assert decode_build_board(board, 6, 2) == "poisoned"  # the cache is live
+        lookup = SubsetLookupTable(6, 2)
+        assert decode_build_board(board, 6, 2, lookup=lookup) == g
+        assert DegenerateBuildProtocol(2, decoder="lookup").output(board, 6) == g
+        assert build._last_decode is poisoned
+
+    def test_exceptions_are_not_cached(self, monkeypatch):
+        board = BoardView(tuple(build_board(gen.path_graph(3), 1)))
+
+        def boom(*args):
+            raise RuntimeError("decode failed")
+
+        monkeypatch.setattr(build, "decode_power_sums", boom)
+        monkeypatch.setattr(build, "_last_decode", (None, None))
+        with pytest.raises(RuntimeError):
+            decode_build_board(board, 3, 1)
+        assert build._last_decode == (None, None)
+        monkeypatch.undo()
+        assert decode_build_board(board, 3, 1) == gen.path_graph(3)
