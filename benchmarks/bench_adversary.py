@@ -119,7 +119,7 @@ def transposition_section(fixtures, reps: int) -> tuple[list[str], bool]:
         t_on, (on, context) = _median_time(
             lambda: _run_portfolio(graph, make_proto, model, shared=True),
             reps)
-        table = context.table
+        kernel = context.snapshot()
         # Branch-and-bound is exact, so sharing must reproduce its
         # witness field for field and the deadlock verdict; the
         # heuristics may only *improve* (consuming exact completions
@@ -132,8 +132,8 @@ def transposition_section(fixtures, reps: int) -> tuple[list[str], bool]:
         )
         all_agree &= agree
         row = (f"{tag:<24} {t_off:>9.4f} {t_on:>9.4f} "
-               f"{t_off / t_on:>5.1f}x {table.hit_rate:>9.2f} "
-               f"{len(table):>8} {context.stats.batch_occupancy:>9.2f} "
+               f"{t_off / t_on:>5.1f}x {kernel.table_hit_rate:>9.2f} "
+               f"{kernel.table_entries:>8} {kernel.batch_occupancy:>9.2f} "
                f"{'yes' if agree else 'NO'}")
         print(row)
         lines.append(row)

@@ -317,7 +317,8 @@ def bench_adversary_table_n6(reps: int) -> tuple[float, dict]:
 
     seconds = _median_time(
         lambda: _run_table_portfolio(graph, make_proto, shared=True), reps)
-    return seconds, {"table_hit_rate": round(context.table.hit_rate, 3)}
+    return seconds, {"table_hit_rate":
+                     round(context.snapshot().table_hit_rate, 3)}
 
 
 def _time_table_off_portfolio(reps: int) -> float:
@@ -412,7 +413,8 @@ def bench_batched_beam_n6(reps: int) -> tuple[float, dict]:
     seconds = _median_time(
         lambda: adv.search(g, DegenerateBuildProtocol(2), SIMASYNC,
                            context=ctx), reps)
-    return seconds, {"batch_occupancy": round(ctx.stats.batch_occupancy, 3)}
+    return seconds, {"batch_occupancy":
+                     round(ctx.snapshot().batch_occupancy, 3)}
 
 
 def _time_scalar_beam_n6(reps: int) -> float:

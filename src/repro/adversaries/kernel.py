@@ -19,6 +19,10 @@ the strategies are thin *policies* — what to expand next — over shared
   enforcing (the forced-completion paths, which must be allowed to
   reach a terminal configuration even on an exhausted budget).
 * :exc:`OutOfBudget` replaces the per-module private exceptions.
+* :meth:`SearchContext.snapshot` is the one source of a cell's
+  deterministic kernel counters: the task's telemetry collection calls
+  it once, on the way out, and ships the frozen
+  :class:`~repro.telemetry.stats.KernelStats` home on the outcome.
 
 Strategies remain deterministic for fixed construction parameters: the
 context adds no entropy of its own (``rng`` hashes exactly the caller's
@@ -32,6 +36,7 @@ import random
 from typing import Optional
 
 from ..core.execution import ExecutionState
+from ..telemetry.stats import KernelStats
 from .transposition import TranspositionTable
 
 __all__ = ["OutOfBudget", "SearchStats", "BudgetMeter", "SearchContext",
@@ -43,7 +48,14 @@ class OutOfBudget(Exception):
 
 
 class SearchStats:
-    """Cumulative accounting across every search a context hosted."""
+    """Cumulative accounting across every search a context hosted.
+
+    ``__slots__`` is the one declaration of the search counters: each
+    slot is a :class:`~repro.telemetry.stats.KernelStats` field of the
+    same name, and :meth:`SearchContext.snapshot` copies them by name.
+    Derived rates (batch occupancy, table hit rate) live on the
+    snapshot only.
+    """
 
     __slots__ = ("steps", "searches", "restarts", "batch_children",
                  "batch_kept", "bound_prunes")
@@ -61,15 +73,6 @@ class SearchStats:
         #: Subtrees skipped because an admissible bound (intrinsic or
         #: table-stored) proved they cannot beat the incumbent.
         self.bound_prunes = 0
-
-    @property
-    def batch_occupancy(self) -> float:
-        """Fraction of batch-stepped lanes that survived compaction
-        (kept or terminal) — lane utilisation of the batched core;
-        0.0 when no batched stepping happened."""
-        if not self.batch_children:
-            return 0.0
-        return self.batch_kept / self.batch_children
 
 
 class BudgetMeter:
@@ -138,6 +141,32 @@ class SearchContext:
         """A per-search meter enforcing ``max_steps`` and the context
         cap (absolute, so earlier searches' spending counts)."""
         return BudgetMeter(self.stats, max_steps, self.max_steps)
+
+    def snapshot(self) -> Optional[KernelStats]:
+        """Freeze this context's counters into a :class:`KernelStats`.
+
+        The search counters are copied by name from
+        :class:`SearchStats`; the table counters are added only when a
+        strategy bound :attr:`table` (a table no search ever used
+        reports ``tables == 0``).  ``None`` when every counter is zero,
+        so outcomes of cells that never touched the kernel stay equal to
+        their pre-telemetry selves.
+        """
+        stats = self.stats
+        counts = {name: getattr(stats, name) for name in SearchStats.__slots__}
+        table = self.table
+        if table is not None and table._scope is not None:
+            counts.update(
+                table_hits=table.hits,
+                table_misses=table.misses,
+                table_stores=table.stores,
+                table_entries=len(table),
+                tables=1,
+                frontier_hits=table.frontier_hits,
+                frontier_stores=table.frontier_stores,
+            )
+        kernel = KernelStats(**counts)
+        return kernel if kernel else None
 
     @staticmethod
     def rng(*tokens) -> random.Random:

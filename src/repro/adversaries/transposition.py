@@ -46,7 +46,6 @@ from typing import Any, Iterable, Optional
 
 from ..core.execution import ExecutionState
 from ..faults.spec import resolve_faults
-from ..telemetry.stats import observe_table
 from .base import Witness
 
 __all__ = ["Completion", "TableEntry", "TranspositionTable",
@@ -238,8 +237,10 @@ class TranspositionTable:
 
     One instance serves one stress cell; the search kernel threads it
     through every strategy via
-    :class:`~repro.adversaries.kernel.SearchContext`.  Hit/miss/store
-    counters feed the bench's hit-rate report.
+    :class:`~repro.adversaries.kernel.SearchContext`.  Its hit/miss/
+    store counters reach telemetry through
+    :meth:`~repro.adversaries.kernel.SearchContext.snapshot` once a
+    strategy has bound it.
     """
 
     def __init__(self) -> None:
@@ -254,15 +255,6 @@ class TranspositionTable:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def probes(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        probes = self.probes
-        return self.hits / probes if probes else 0.0
 
     # -- scoping -------------------------------------------------------
 
@@ -290,7 +282,6 @@ class TranspositionTable:
         table across cells would serve wrong answers, so it raises
         instead.
         """
-        observe_table(self)  # telemetry visibility; one global read
         scope = (graph, self._component_token(protocol), model.name,
                  bit_budget, resolve_faults(faults).canonical())
         if self._scope is None:

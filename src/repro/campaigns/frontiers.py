@@ -16,7 +16,7 @@ re-expanding them.  This module owns the boundary representation:
   :meth:`~repro.core.execution.ExecutionState.config_key` tuples, whose
   components are ints, ``None``, nested tuples and frozensets of ints.
   The stored row key is the process-stable
-  :func:`~repro.core.batch.config_key_digest` (hex), but the full key
+  :func:`config_key_digest` (hex), but the full key
   payload travels alongside so loading reconstructs real table keys —
   digests alone could not repopulate a table.
 * **entry codec** (:func:`encode_entry` / :func:`decode_entry`):
@@ -41,7 +41,6 @@ from ..adversaries.transposition import (
     TableEntry,
     TranspositionTable,
 )
-from ..core.batch import config_key_digest
 from ..graphs.codec import to_graph6
 from ..graphs.labeled_graph import LabeledGraph
 
@@ -50,6 +49,7 @@ __all__ = [
     "task_cell_key",
     "encode_key",
     "decode_key",
+    "config_key_digest",
     "encode_entry",
     "decode_entry",
     "encode_rows",
@@ -138,6 +138,29 @@ def encode_key(key: tuple) -> str:
 def decode_key(payload: str) -> tuple:
     """Inverse of :func:`encode_key`."""
     return _decode_component(json.loads(payload))
+
+
+def _normalize_key(obj):
+    """Config-key component with frozensets replaced by sorted tuples
+    (frozenset iteration order is not stable across processes; every
+    other component is ints/None/tuples whose repr is)."""
+    if isinstance(obj, frozenset):
+        return ("fs",) + tuple(sorted(obj))
+    if isinstance(obj, tuple):
+        return tuple(_normalize_key(x) for x in obj)
+    return obj
+
+
+def config_key_digest(key) -> bytes:
+    """Process-stable digest of an ``ExecutionState.config_key()``.
+
+    Two keys digest equal iff they are equal: the only order-unstable
+    components of a config key are frozensets of ints, normalized to
+    sorted tuples before hashing.  Persisted warm frontiers are keyed
+    by these digests instead of raw keys (16 bytes each, and identical
+    no matter which process computed them)."""
+    return hashlib.blake2b(repr(_normalize_key(key)).encode(),
+                           digest_size=16).digest()
 
 
 # ----------------------------------------------------------------------

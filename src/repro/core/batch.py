@@ -43,8 +43,6 @@ the spmm block-partition kernels applied to schedule subtrees.
 
 from __future__ import annotations
 
-import hashlib
-import heapq
 import math
 from typing import Any, Iterator, Optional, Union
 
@@ -54,7 +52,7 @@ from ..encoding.bits import payload_bits, payload_key
 from ..faults.spec import FaultSpec, resolve_faults
 from ..telemetry import tracer as _trace
 from .errors import MessageTooLarge, ProtocolViolation
-from .execution import ExecutionState, RunResult
+from .execution import ExecutionState, RunResult, decode_output
 from .models import ModelSpec
 from .protocol import NodeView, Protocol
 from .whiteboard import BoardView, Entry, Whiteboard
@@ -65,9 +63,7 @@ __all__ = [
     "BatchedExecutionState",
     "batch_supported",
     "batched_count_executions",
-    "config_key_digest",
     "partition_lots",
-    "partition_weighted",
 ]
 
 
@@ -870,17 +866,12 @@ class BatchedExecutionState:
         board = Whiteboard(entries=entries)
         success = (int(self.written[lane])
                    | int(self.crashed[lane])).bit_count() == n
-        output = None
-        output_error = None
-        if success:
-            view = BoardView(tuple(e.payload for e in entries))
-            if cell.faults.enabled:
-                try:
-                    output = cell.proto.output(view, n)
-                except Exception as exc:  # noqa: BLE001 - verdict
-                    output_error = f"{type(exc).__name__}: {exc}"
-            else:
-                output = cell.proto.output(view, n)
+        output, output_error = (
+            decode_output(cell.proto,
+                          BoardView(tuple(e.payload for e in entries)), n,
+                          cell.faults.enabled)
+            if success else (None, None)
+        )
         row = self.act[lane].tolist()
         activation = {v: row[v - 1] for v in sorted(
             (v for v in cell.graph.nodes() if row[v - 1] >= 0),
@@ -914,38 +905,13 @@ class BatchedExecutionState:
         return fact * (1.0 + (self.cl + self.ll + self.dl))
 
 
-def partition_weighted(weights, lots: int) -> list:
-    """Split ``range(len(weights))`` into ``lots`` roughly equal-weight
-    groups.
-
-    Longest-processing-time greedy: items descending by weight (stable,
-    so equal weights keep their index order — the deterministic
-    tie-break), each assigned to the currently lightest lot.  Returns a
-    list of ascending int64 index arrays that partition the items; empty
-    groups are dropped, so an empty input yields an empty list.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    count = int(weights.shape[0])
-    if count == 0:
-        return []
-    lots = max(1, min(int(lots), count))
-    order = np.argsort(-weights, kind="stable")
-    heap = [(0.0, i) for i in range(lots)]
-    heapq.heapify(heap)
-    members: list[list[int]] = [[] for _ in range(lots)]
-    for item in order.tolist():
-        load, slot = heapq.heappop(heap)
-        members[slot].append(item)
-        heapq.heappush(heap, (load + float(weights[item]), slot))
-    return [np.array(sorted(group), dtype=np.int64)
-            for group in members if group]
-
-
 def partition_lots(batch: BatchedExecutionState, lots: int) -> list:
     """Split lanes into ``lots`` roughly equal-weight groups — the LPT
-    greedy of :func:`partition_weighted` over :meth:`subtree_weights`,
-    the balanced fan-out the count walk uses once its frontier outgrows
-    the lane budget."""
+    greedy of :func:`~repro.runtime.sharding.partition_weighted` over
+    :meth:`subtree_weights`, the balanced fan-out the count walk uses
+    once its frontier outgrows the lane budget."""
+    from ..runtime.sharding import partition_weighted
+
     return partition_weighted(batch.subtree_weights(), lots)
 
 
@@ -1001,30 +967,3 @@ def batched_count_executions(
     cell = _BatchCell(graph, protocol, model, None, faults)
     root = BatchedExecutionState.root(cell, track_sched=False)
     return _walk_terminals(root)
-
-
-# ----------------------------------------------------------------------
-# process-stable configuration digests
-# ----------------------------------------------------------------------
-
-def _normalize_key(obj):
-    """Config-key component with frozensets replaced by sorted tuples
-    (frozenset iteration order is not stable across processes; every
-    other component is ints/None/tuples whose repr is)."""
-    if isinstance(obj, frozenset):
-        return ("fs",) + tuple(sorted(obj))
-    if isinstance(obj, tuple):
-        return tuple(_normalize_key(x) for x in obj)
-    return obj
-
-
-def config_key_digest(key) -> bytes:
-    """Process-stable digest of an ``ExecutionState.config_key()``.
-
-    Two keys digest equal iff they are equal: the only order-unstable
-    components of a config key are frozensets of ints, normalized to
-    sorted tuples before hashing.  Persisted warm frontiers are keyed
-    by these digests instead of raw keys (16 bytes each, and identical
-    no matter which process computed them)."""
-    return hashlib.blake2b(repr(_normalize_key(key)).encode(),
-                           digest_size=16).digest()

@@ -53,7 +53,8 @@ from .models import ModelSpec
 from .protocol import NodeView, Protocol
 from .whiteboard import BoardView, Whiteboard
 
-__all__ = ["RunResult", "ExecutionState", "Checkpoint", "replay_schedule"]
+__all__ = ["RunResult", "ExecutionState", "Checkpoint", "decode_output",
+           "replay_schedule"]
 
 #: Distinguishes "cache entry was absent" from "cached value was None"
 #: when a crash undo restores a node's frozen-message caches.
@@ -127,6 +128,26 @@ class RunResult:
         return frozenset(
             v for v in range(1, self.n + 1) if v not in terminated
         )
+
+
+def decode_output(protocol: Protocol, board: BoardView, n: int,
+                  faulted: bool) -> tuple[Any, Optional[str]]:
+    """The decoder verdict of a successful run: ``(output,
+    output_error)``.
+
+    Faults can hand the decoder a board the protocol never promised to
+    survive (missing, duplicated, or truncated entries), so on a faulted
+    run a decoder exception is a *verdict* — recorded as
+    ``"ExcType: message"`` with ``output`` ``None``, not raised.  On a
+    reliable run it propagates.  The scalar and batched engines both
+    decode through here.
+    """
+    try:
+        return protocol.output(board, n), None
+    except Exception as exc:  # noqa: BLE001 - verdict
+        if not faulted:
+            raise
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 @dataclass(frozen=True)
@@ -719,20 +740,11 @@ class ExecutionState:
                 "remain"
             )
         success = self.done
-        output = None
-        output_error = None
-        if success:
-            if self.faults.enabled:
-                # Faults can hand the decoder a board the protocol never
-                # promised to survive (missing, duplicated, or truncated
-                # entries); a decoder crash is a *verdict* — recorded,
-                # not raised.
-                try:
-                    output = self.proto.output(self.board.view(), self.graph.n)
-                except Exception as exc:  # noqa: BLE001
-                    output_error = f"{type(exc).__name__}: {exc}"
-            else:
-                output = self.proto.output(self.board.view(), self.graph.n)
+        output, output_error = (
+            decode_output(self.proto, self.board.view(), self.graph.n,
+                          self.faults.enabled)
+            if success else (None, None)
+        )
         frozen_board = Whiteboard(entries=list(self.board.entries))
         return RunResult(
             success=success,

@@ -21,11 +21,13 @@ aggregates at exactly the right point.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections.abc import Iterator, Sequence
 from typing import Any, Optional, Union
 
-from ..core.batch import partition_weighted
+import numpy as np
+
 from ..core.execution import ExecutionState
 from ..core.models import ModelSpec
 from ..core.protocol import Protocol
@@ -34,8 +36,8 @@ from ..graphs.labeled_graph import LabeledGraph
 from ..telemetry import tracer as _trace
 from .results import TaskOutcome
 
-__all__ = ["SHARD_MIN_N", "expand_enumeration_units", "shardable", "lower",
-           "reassemble"]
+__all__ = ["SHARD_MIN_N", "expand_enumeration_units", "shardable",
+           "partition_weighted", "lower", "reassemble"]
 
 #: Smallest instance worth splitting: below this the schedule tree is
 #: cheaper to enumerate than to expand, partition, pickle and merge.
@@ -109,6 +111,33 @@ def _prefix_weights(prefixes, n: int, faults: Union[None, str, FaultSpec]):
     slack = 1.0 + (spec.max_crashes + spec.max_losses
                    + spec.max_duplications)
     return [math.factorial(min(n - len(p), 20)) * slack for p in prefixes]
+
+
+def partition_weighted(weights, lots: int) -> list:
+    """Split ``range(len(weights))`` into ``lots`` roughly equal-weight
+    groups.
+
+    Longest-processing-time greedy: items descending by weight (stable,
+    so equal weights keep their index order — the deterministic
+    tie-break), each assigned to the currently lightest lot.  Returns a
+    list of ascending int64 index arrays that partition the items; empty
+    groups are dropped, so an empty input yields an empty list.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    count = int(weights.shape[0])
+    if count == 0:
+        return []
+    lots = max(1, min(int(lots), count))
+    order = np.argsort(-weights, kind="stable")
+    heap = [(0.0, i) for i in range(lots)]
+    heapq.heapify(heap)
+    members: list[list[int]] = [[] for _ in range(lots)]
+    for item in order.tolist():
+        load, slot = heapq.heappop(heap)
+        members[slot].append(item)
+        heapq.heappush(heap, (load + float(weights[item]), slot))
+    return [np.array(sorted(group), dtype=np.int64)
+            for group in members if group]
 
 
 def lower(tasks: Sequence[Any], jobs: int):

@@ -10,9 +10,10 @@ on is that enabling tracing cannot change what the engine computes:
   only the parent's :class:`RunTelemetry` session serializes the JSONL
   event stream and run manifest;
 * deterministic counters (:class:`KernelStats`) are split from timing
-  (:class:`TaskTelemetry`): the former are captured always and equal
-  the engine's own ``SearchStats``/table accounting field for field,
-  the latter exist only while tracing.
+  (:class:`TaskTelemetry`): the former come from one source, the
+  cell's ``SearchContext.snapshot()`` (its ``SearchStats`` slots by
+  name, plus its transposition table's counters once a strategy bound
+  it), taken always; the latter exist only while tracing.
 
 This package is a leaf: stdlib at module level, engine imports only
 lazily inside functions, so every layer can import it cycle-free.
@@ -21,7 +22,6 @@ lazily inside functions, so every layer can import it cycle-free.
 from .collect import NULL_COLLECTION, TaskCollection
 from .metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     merge_metric_summaries,
@@ -40,12 +40,7 @@ from .session import (
     machine_metadata,
     plan_spec_digest,
 )
-from .stats import (
-    KernelAccumulator,
-    KernelStats,
-    observe_table,
-    watching_tables,
-)
+from .stats import KernelAccumulator, KernelStats
 from .tracer import (
     NULL_SPAN,
     TRACE_ENV,
@@ -83,10 +78,7 @@ __all__ = [
     "NULL_COLLECTION",
     "KernelStats",
     "KernelAccumulator",
-    "observe_table",
-    "watching_tables",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "merge_metric_summaries",

@@ -4,42 +4,34 @@ engine's own accounting.
 Unlike spans (timing — nondeterministic by nature), a
 :class:`KernelStats` snapshot is a pure function of the work a cell
 did: write-event steps, searches, restarts, batched lane accounting,
-transposition-table counters.  Tasks capture one *always* — traced or
-not — so the numbers are identical across serial/process backends and
-traced/untraced runs, and tests pin them field for field against the
-engine's live ``SearchStats`` / ``TranspositionTable`` counters.
-
-The table-watch registry here is how private per-cell tables become
-visible without a task attribute: ``TranspositionTable.bind`` calls
-:func:`observe_table` (one global read when nothing watches), and the
-task's collection scope dedupes by object identity.
+transposition-table counters.  The search kernel produces it —
+``repro.adversaries.kernel.SearchContext.snapshot`` copies the live
+``SearchStats`` slots by name and adds the table counters of the
+context's table once a strategy bound it — and every search task takes
+one *always*, traced or not, so the numbers are identical across
+serial/process backends and traced/untraced runs.
 
 Leaf module: stdlib only.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Any, Iterator, Optional
+from typing import Optional
 
-__all__ = [
-    "KernelStats",
-    "KernelAccumulator",
-    "observe_table",
-    "watching_tables",
-]
+__all__ = ["KernelStats", "KernelAccumulator"]
 
 
 @dataclass(frozen=True)
 class KernelStats:
     """Frozen fold of a cell's deterministic search-kernel counters.
 
-    ``steps``/``searches``/``restarts``/``batch_*`` mirror
-    :class:`repro.adversaries.kernel.SearchStats`; the ``table_*``
-    fields sum the counters of every transposition table the cell
-    bound.  All sums, so :meth:`merge` is associative and a campaign
-    can fold thousands of cells into one line.
+    The fields up to ``bound_prunes`` are the slots of
+    ``repro.adversaries.kernel.SearchStats``, by name; the ``table_*``
+    and ``frontier_*`` fields are the counters of the cell's bound
+    transposition table, and ``tables`` counts such tables.  All sums,
+    so :meth:`merge` is associative and a campaign can fold thousands
+    of cells into one line.
     """
 
     steps: int = 0
@@ -73,21 +65,14 @@ class KernelStats:
         probes = self.table_probes
         return self.table_hits / probes if probes else 0.0
 
-    def _astuple(self) -> tuple:
-        return (
-            self.steps, self.searches, self.restarts, self.batch_children,
-            self.batch_kept, self.bound_prunes, self.table_hits,
-            self.table_misses, self.table_stores, self.table_entries,
-            self.tables, self.frontier_hits, self.frontier_stores,
-        )
-
     def __bool__(self) -> bool:
-        return any(self._astuple())
+        return any(getattr(self, f.name) for f in fields(self))
 
     def merge(self, other: "KernelStats") -> "KernelStats":
-        return KernelStats(
-            *(a + b for a, b in zip(self._astuple(), other._astuple()))
-        )
+        return KernelStats(**{
+            f.name: getattr(self, f.name) + getattr(other, f.name)
+            for f in fields(self)
+        })
 
     def to_jsonable(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -96,34 +81,6 @@ class KernelStats:
     def from_jsonable(cls, data: dict) -> "KernelStats":
         names = {f.name for f in fields(cls)}
         return cls(**{k: int(v) for k, v in data.items() if k in names})
-
-    @classmethod
-    def capture(cls, stats_list: Iterator, tables) -> "Optional[KernelStats]":
-        """Fold live accounting objects (duck-typed ``SearchStats`` and
-        transposition tables) into a snapshot; ``None`` when the cell
-        observed nothing, so outcome kinds that never touched the
-        search kernel stay equal to their pre-telemetry selves."""
-        total = cls()
-        for stats in stats_list:
-            total = total.merge(cls(
-                steps=stats.steps,
-                searches=stats.searches,
-                restarts=stats.restarts,
-                batch_children=stats.batch_children,
-                batch_kept=stats.batch_kept,
-                bound_prunes=stats.bound_prunes,
-            ))
-        for table in tables:
-            total = total.merge(cls(
-                table_hits=table.hits,
-                table_misses=table.misses,
-                table_stores=table.stores,
-                table_entries=len(table),
-                tables=1,
-                frontier_hits=table.frontier_hits,
-                frontier_stores=table.frontier_stores,
-            ))
-        return total if total else None
 
     def summary(self) -> str:
         """The end-of-run kernel line (stress / campaign summaries)."""
@@ -148,67 +105,16 @@ class KernelStats:
         return ", ".join(parts)
 
 
-class _TableWatch:
-    """Identity-deduplicated set of tables seen during one scope."""
-
-    __slots__ = ("tables",)
-
-    def __init__(self) -> None:
-        self.tables: dict[int, Any] = {}
-
-
-_watch: Optional[_TableWatch] = None
-
-
-def observe_table(table) -> None:
-    """Register a transposition table with the watching scope, if any.
-
-    Called from ``TranspositionTable.bind`` — once per search, one
-    global read when nothing watches.  Id-deduplicated, so a shared
-    table bound by four strategies still counts once.
-    """
-    watch = _watch
-    if watch is not None:
-        watch.tables[id(table)] = table
-
-
-def _push_watch() -> "tuple[_TableWatch, Optional[_TableWatch]]":
-    global _watch
-    previous = _watch
-    watch = _TableWatch()
-    _watch = watch
-    return watch, previous
-
-
-def _pop_watch(previous: "Optional[_TableWatch]") -> None:
-    global _watch
-    _watch = previous
-
-
-@contextmanager
-def watching_tables() -> Iterator[_TableWatch]:
-    """Collect every table bound inside the block (tests and ad-hoc
-    instrumentation; tasks use :class:`~repro.telemetry.collect.
-    TaskCollection`, which does the same push/pop inline)."""
-    watch, previous = _push_watch()
-    try:
-        yield watch
-    finally:
-        _pop_watch(previous)
-
-
 class KernelAccumulator:
     """Mutable driving-process fold of per-task :class:`KernelStats`
     (CLI end-of-run summaries, campaign meta persistence)."""
 
     def __init__(self) -> None:
         self.kernel: Optional[KernelStats] = None
-        self.outcomes = 0
 
     def add(self, stats: Optional[KernelStats]) -> None:
         if stats is None:
             return
-        self.outcomes += 1
         self.kernel = (
             stats if self.kernel is None else self.kernel.merge(stats)
         )

@@ -47,7 +47,7 @@ def _search(batch, graph, proto, model, *, score=None, width=4, restarts=2,
     ctx = SearchContext(max_steps=max_steps)
     witness = adv.search(graph, proto, model, bit_budget,
                          context=ctx, faults=faults)
-    return witness, ctx.stats
+    return witness, ctx.snapshot()
 
 
 @pytest.mark.parametrize("graph,proto,model", FIXTURES)

@@ -390,7 +390,7 @@ class TestCrossStrategySharing:
             strategy.search(g, EchoProtocol(), SIMSYNC, context=ctx)
         assert ctx.stats.searches == 4
         assert ctx.stats.steps > 0
-        assert ctx.table.probes > 0
+        assert ctx.snapshot().table_probes > 0
 
 
 class TestDictPayloadMemo:

@@ -175,6 +175,38 @@ def test_bit_budget_violation_matches_scalar():
                       for b, lane in dead}
 
 
+class _UndecodableBuild(DegenerateBuildProtocol):
+    """BUILD whose decoder always raises."""
+
+    def output(self, board, n):
+        raise ValueError("undecodable board")
+
+
+@pytest.mark.parametrize("faults", [None, "crash:1"])
+def test_decoder_exception_rule_matches_scalar(faults):
+    """A decoder exception propagates from a reliable run and becomes
+    the ``output_error`` verdict of a faulted one, on both engines."""
+    graph = gen.cycle_graph(4)
+    proto = _UndecodableBuild(2)
+    terminals, _ = _batched_walk(graph, proto, SIMASYNC, faults=faults)
+    batch, lane = terminals[0]
+    schedule = batch.schedule_of(lane)
+
+    def replay():
+        return replay_schedule(graph, proto, SIMASYNC, schedule,
+                               faults=faults)
+
+    if faults is None:
+        expected = (ValueError, "undecodable board")
+        assert _raised(lambda: batch.result_of(lane)) == expected
+        assert _raised(replay) == expected
+    else:
+        result = batch.result_of(lane)
+        assert result == replay()
+        assert result.output is None
+        assert result.output_error == "ValueError: undecodable board"
+
+
 def test_partition_lots_covers_expansion():
     g = gen.random_k_degenerate(6, 2, seed=0)
     cell = _BatchCell(g, DegenerateBuildProtocol(2), SIMASYNC, None,
@@ -200,7 +232,7 @@ def test_partition_lots_covers_expansion():
 def test_partition_weighted_more_lots_than_items():
     """Requesting more lots than items degrades to one singleton lot per
     item (empty groups are dropped, never returned)."""
-    from repro.core.batch import partition_weighted
+    from repro.runtime.sharding import partition_weighted
 
     parts = partition_weighted([3.0, 1.0, 2.0], 8)
     assert len(parts) == 3
@@ -209,7 +241,7 @@ def test_partition_weighted_more_lots_than_items():
 
 
 def test_partition_weighted_single_item_and_empty():
-    from repro.core.batch import partition_weighted
+    from repro.runtime.sharding import partition_weighted
 
     [only] = partition_weighted([7.0], 4)
     assert only.tolist() == [0]
@@ -221,7 +253,7 @@ def test_partition_weighted_equal_weights_deterministic():
     """All-equal weights: the stable descending sort keeps index order,
     so the greedy deals indices round-robin — the same grouping every
     call, pinned here so process-sharded lots are reproducible."""
-    from repro.core.batch import partition_weighted
+    from repro.runtime.sharding import partition_weighted
 
     first = partition_weighted([1.0] * 6, 2)
     second = partition_weighted([1.0] * 6, 2)
@@ -257,7 +289,7 @@ def test_partition_lots_weights_follow_compact():
     surviving = children.compact(keep)
     expected = children.subtree_weights()[keep]
     assert surviving.subtree_weights().tolist() == expected.tolist()
-    from repro.core.batch import partition_weighted
+    from repro.runtime.sharding import partition_weighted
 
     direct = [p.tolist() for p in partition_weighted(expected, 2)]
     via_lots = [p.tolist() for p in partition_lots(surviving, 2)]

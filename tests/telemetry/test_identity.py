@@ -3,20 +3,25 @@
 Telemetry must never change what the engine computes: for every
 jobs x beam-pass x faults combination, the merged report with tracing ON is
 field-identical to the report with tracing OFF, and the deterministic
-kernel counters a traced run reports equal the ``SearchStats`` numbers
-the strategies themselves accumulated.
+kernel counters a task reports are exactly the ``SearchContext.snapshot``
+of an identical hand-driven search.
 """
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.adversaries import (
     BeamSearchAdversary,
+    GreedyBitsAdversary,
     SearchContext,
+    TranspositionTable,
     default_search_portfolio,
 )
+from repro.adversaries.kernel import SearchStats
 from repro.analysis.checkers import default_checker
+from repro.campaigns.frontiers import decode_rows, encode_rows
 from repro.core.models import MODELS_BY_NAME
 from repro.graphs import generators as gen
 from repro.protocols.build import DegenerateBuildProtocol
@@ -95,36 +100,80 @@ class TestTraceOnEqualsTraceOff:
             == [o.kernel_stats for o in pooled]
 
 
-class TestKernelEqualsSearchStats:
-    def test_capture_matches_context_stats(self):
-        graph = gen.random_k_degenerate(6, 2, seed=0)
-        proto = DegenerateBuildProtocol(2)
-        model = MODELS_BY_NAME["SIMASYNC"]
-        context = SearchContext()
-        for strategy in default_search_portfolio():
-            strategy.search(graph, proto, model, 4096, context=context)
-        stats = context.stats
-        kernel = KernelStats.capture([stats], [])
-        assert kernel is not None
-        assert kernel.steps == stats.steps
-        assert kernel.searches == stats.searches
-        assert kernel.restarts == stats.restarts
-        assert kernel.batch_children == stats.batch_children
-        assert kernel.batch_kept == stats.batch_kept
+def _fresh_rows(rows):
+    """Independent copies of frontier rows (``preload`` marks and the
+    searches update the entry objects it is handed)."""
+    return decode_rows([(key, entry) for _, key, entry in encode_rows(rows)])
 
-    def test_task_kernel_matches_direct_search(self):
-        # the kernel a task ships home equals the SearchStats numbers a
-        # hand-driven identical search accumulates
-        plan = _stress_plan(sizes=(6,))
-        (outcome,) = _run(plan, None)
-        graph = gen.random_k_degenerate(6, 2, seed=0)
-        proto = DegenerateBuildProtocol(2)
-        context = SearchContext()
-        for strategy in default_search_portfolio():
-            strategy.search(graph, proto, MODELS_BY_NAME["SIMASYNC"],
-                            4096, context=context)
+
+def _hand_driven(faults, table, export=False):
+    """The stress cell of ``_stress_plan(sizes=(6,))``, searched by
+    hand through one context (``export``: drain the table's dirty rows,
+    as a warm-frontier task does for the store)."""
+    graph = gen.random_k_degenerate(6, 2, seed=0)
+    context = SearchContext(table=table)
+    for strategy in _portfolio(True):
+        strategy.search(graph, DegenerateBuildProtocol(2),
+                        MODELS_BY_NAME["SIMASYNC"], 4096, context=context,
+                        faults=faults)
+    if export:
+        table.export_dirty()
+    return context
+
+
+class TestKernelIsTheContextSnapshot:
+    def test_every_search_counter_is_a_kernel_field(self):
+        names = {f.name for f in fields(KernelStats)}
+        assert set(SearchStats.__slots__) <= names
+
+    @pytest.mark.parametrize("faults", [None, "crash:1"])
+    def test_no_table_cell(self, faults):
+        (task,) = _stress_plan(sizes=(6,), faults=faults).tasks
+        outcome = task.execute()
+        context = _hand_driven(faults, None)
+        assert outcome.kernel_stats == context.snapshot()
+        assert outcome.kernel_stats.tables == 0
         assert outcome.kernel_stats.steps == context.stats.steps
-        assert outcome.kernel_stats.searches == context.stats.searches
+
+    @pytest.mark.parametrize("faults", [None, "crash:1"])
+    def test_shared_table_cell(self, faults):
+        (task,) = _stress_plan(sizes=(6,), faults=faults).tasks
+        outcome = replace(task, share_table=True).execute()
+        context = _hand_driven(faults, TranspositionTable())
+        assert outcome.kernel_stats == context.snapshot()
+        assert outcome.kernel_stats.tables == 1
+        assert outcome.kernel_stats.table_hits == context.table.hits
+
+    def test_warm_frontier_cell(self):
+        (task,) = _stress_plan(sizes=(6,), faults="crash:1").tasks
+        cold = replace(task, frontiers=()).execute()
+        assert cold.frontiers
+        warm = replace(task, frontiers=_fresh_rows(cold.frontiers)).execute()
+        table = TranspositionTable()
+        table.preload(_fresh_rows(cold.frontiers))
+        context = _hand_driven("crash:1", table, export=True)
+        assert warm.kernel_stats == context.snapshot()
+        assert warm.kernel_stats.tables == 1
+        assert warm.kernel_stats.frontier_hits > 0
+
+    def test_unbound_table_is_not_counted(self):
+        graph = gen.random_k_degenerate(6, 2, seed=0)
+        context = SearchContext()
+        GreedyBitsAdversary().search(graph, DegenerateBuildProtocol(2),
+                                     MODELS_BY_NAME["SIMASYNC"], 4096,
+                                     context=context)
+        (task,) = _stress_plan(sizes=(6,), faults="crash:1").tasks
+        context.table = TranspositionTable()
+        context.table.preload(
+            _fresh_rows(replace(task, frontiers=()).execute().frontiers))
+        assert len(context.table) > 0
+        kernel = context.snapshot()
+        assert kernel.searches == 1
+        assert kernel.tables == 0
+        assert kernel.table_entries == 0
+
+    def test_untouched_context_snapshots_to_none(self):
+        assert SearchContext(table=TranspositionTable()).snapshot() is None
 
 
 class TestFinalizeIdentity:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.telemetry import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     merge_metric_summaries,
@@ -18,13 +17,6 @@ class TestInstruments:
         c.inc(4)
         assert c.value == 5
         assert c.to_jsonable() == {"type": "counter", "value": 5}
-
-    def test_gauge_keeps_last(self):
-        g = Gauge()
-        assert g.value is None
-        g.set(3.5)
-        g.set(1.0)
-        assert g.to_jsonable() == {"type": "gauge", "value": 1.0}
 
     def test_histogram_summary_stats(self):
         h = Histogram()
@@ -61,12 +53,10 @@ class TestRegistry:
         reg.counter("hits").inc(2)
         reg.counter("hits").inc()
         reg.histogram("lat").observe(0.5)
-        reg.gauge("width").set(7)
         summary = reg.to_jsonable()
         assert summary["hits"]["value"] == 3
         assert summary["lat"]["count"] == 1
-        assert summary["width"]["value"] == 7
-        assert len(reg) == 3 and "hits" in reg
+        assert len(reg) == 2 and "hits" in reg
 
     def test_kind_conflict_raises(self):
         reg = MetricsRegistry()
@@ -90,8 +80,7 @@ class TestMerge:
         b = {"hits": {"type": "counter", "value": 5},
              "lat": {"type": "histogram", "count": 1, "total": 4.0,
                      "min": 4.0, "max": 4.0, "mean": 4.0,
-                     "p50": 4.0, "p95": 4.0},
-             "width": {"type": "gauge", "value": 9}}
+                     "p50": 4.0, "p95": 4.0}}
         into: dict = {}
         merge_metric_summaries(into, a)
         merge_metric_summaries(into, b)
@@ -101,7 +90,6 @@ class TestMerge:
         assert into["lat"]["min"] == 1.0 and into["lat"]["max"] == 4.0
         # percentiles cannot be merged from summaries: nulled, not faked
         assert into["lat"]["p50"] is None and into["lat"]["p95"] is None
-        assert into["width"]["value"] == 9
 
     def test_merge_does_not_alias_input(self):
         source = {"lat": {"type": "histogram", "count": 1, "total": 1.0,
@@ -115,5 +103,5 @@ class TestMerge:
         into = merge_metric_summaries({}, {"x": {"type": "counter",
                                                  "value": 1}})
         with pytest.raises(ValueError):
-            merge_metric_summaries(into, {"x": {"type": "gauge",
-                                                "value": 1}})
+            merge_metric_summaries(into, {"x": {"type": "histogram",
+                                                "count": 1, "total": 1.0}})

@@ -125,6 +125,15 @@ class TestSchemaRejections:
         with pytest.raises(TraceSchemaError):
             validate_trace_lines(lines)
 
+    @pytest.mark.parametrize("kind", ["mystery", "gauge"])
+    def test_unknown_metric_type(self, tmp_path, kind):
+        lines = self._lines(tmp_path)
+        manifest = json.loads(lines[-1])
+        manifest["metrics"]["x"] = {"type": kind, "value": 1}
+        lines[-1] = json.dumps(manifest)
+        with pytest.raises(TraceSchemaError, match="unknown type"):
+            validate_trace_lines(lines)
+
     def test_task_count_mismatch(self, tmp_path):
         lines = self._lines(tmp_path)
         manifest = json.loads(lines[-1])
