@@ -15,7 +15,7 @@ Layout
 ``repro.protocols``   the paper's protocols (Thms 2, 5, 7, 9, 10, ...)
 ``repro.reductions``  Lemma 3 counting, Figure 1/2 gadgets, compilers
 ``repro.hierarchy``   Lemma 4 adapters, the Table 2 lattice
-``repro.runtime``     execution plans, serial/process backends, sinks
+``repro.runtime``     execution plans (the one run loop), serial/process backends
 ``repro.analysis``    verification harness, Table 2 / figure regeneration
 
 Quickstart

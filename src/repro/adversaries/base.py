@@ -279,17 +279,6 @@ class AdversarySearch(ABC):
         behaviour is then identical to the pre-kernel strategies.
         """
 
-    def _initial(
-        self,
-        graph: LabeledGraph,
-        protocol: Protocol,
-        model: ModelSpec,
-        bit_budget: Optional[int],
-        faults: Union[None, str, FaultSpec] = None,
-    ) -> ExecutionState:
-        return ExecutionState.initial(graph, protocol, model, bit_budget,
-                                      faults=faults)
-
     def _witness(self, state: ExecutionState, explored: int) -> Witness:
         """Freeze a terminal state into a witness (no output computation —
         scoring only needs the board accounting)."""

@@ -133,8 +133,4 @@ def verify_protocol(
         share_table=share_table,
         faults=faults,
     )
-    if store is not None:
-        from ..campaigns.runner import run_plan_with_store
-
-        return run_plan_with_store(plan, store, backend=backend)
-    return plan.verification_report(backend=backend)
+    return plan.run(backend, store=store).report

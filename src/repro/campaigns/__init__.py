@@ -9,12 +9,12 @@ package is the durable layer under every sweep consumer:
   salt) with exact report round-trips and JSONL witness blobs.
 * :mod:`~repro.campaigns.runner` — :class:`Campaign`: a named spec of
   cells, sharded over any backend, resumable (fingerprint hits are
-  served from the store; an unchanged re-run is a pure cache read), and
-  :func:`run_plan_with_store` for opportunistic reuse from
-  ``verify_protocol(..., store=...)``.
+  served from the store; an unchanged re-run is a pure cache read).
+  Each cell is one ``ExecutionPlan.run(store=...)`` call, the same loop
+  ``verify_protocol(..., store=...)`` and the CLI's ``--store`` use.
 * :mod:`~repro.campaigns.trajectories` — per-family extremal witness
   series across campaign generations, diffable and renderable
-  (``repro campaign report``, ``tools/bench_report.py --campaign``).
+  (``repro campaign report``).
 
 Architecture rule: the store is the **only** cross-process, cross-run
 shared state, and only the driving process touches it — backends stay
@@ -30,7 +30,6 @@ from .runner import (
     CampaignSpec,
     CellResult,
     quick_campaign,
-    run_plan_with_store,
     warm_smoke_campaign,
 )
 from .store import ResultStore, code_version_salt, task_fingerprint
@@ -49,7 +48,6 @@ __all__ = [
     "CellResult",
     "quick_campaign",
     "warm_smoke_campaign",
-    "run_plan_with_store",
     "task_cell_key",
     "ResultStore",
     "code_version_salt",

@@ -6,10 +6,11 @@ plan mode (``stress`` by default: exhaustive below the threshold, guided
 adversary search above).  :class:`Campaign` lowers every cell to a
 :class:`~repro.runtime.plan.ExecutionPlan`, fingerprints each task, and
 executes **only the store misses** on any
-:class:`~repro.runtime.backends.Backend` — the backend shards stateless
-tasks exactly as before; the :class:`~repro.campaigns.store.ResultStore`
-is the only shared state, touched only by the driving process through a
-:class:`~repro.runtime.results.StoreBackedSink`.
+:class:`~repro.runtime.backends.Backend` through
+:meth:`~repro.runtime.plan.ExecutionPlan.run` — the backend shards
+stateless tasks exactly as before; the
+:class:`~repro.campaigns.store.ResultStore` is the only shared state,
+touched only by the driving process, in that one loop.
 
 The three guarantees campaigns are built around (pinned by
 ``tests/campaigns/``):
@@ -26,22 +27,17 @@ The three guarantees campaigns are built around (pinned by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Optional
 
 from ..analysis.checkers import default_checker
 from ..core.models import MODELS_BY_NAME
 from ..faults.spec import resolve_faults
 from ..graphs.families import FAMILIES, family
 from ..protocols.census import CENSUS_BY_KEY
-from ..runtime.backends import Backend, SerialBackend
-from ..runtime.plan import ExecutionPlan, ExecutionTask
-from ..runtime.results import (
-    KernelStatsSink,
-    ResultSink,
-    StoreBackedSink,
-    VerificationReport,
-)
+from ..runtime.backends import Backend
+from ..runtime.plan import ExecutionPlan
+from ..runtime.results import VerificationReport
 from ..telemetry import KernelAccumulator, KernelStats, RunTelemetry
 from .frontiers import task_cell_key
 from .store import ResultStore
@@ -55,7 +51,6 @@ __all__ = [
     "Campaign",
     "quick_campaign",
     "warm_smoke_campaign",
-    "run_plan_with_store",
 ]
 
 
@@ -249,106 +244,6 @@ class CampaignResult:
         )
 
 
-def _run_tasks_with_store(
-    tasks: Sequence[ExecutionTask],
-    store: ResultStore,
-    backend: Optional[Backend] = None,
-    campaign: Optional[str] = None,
-    telemetry: Optional[RunTelemetry] = None,
-    kernel: Optional[KernelAccumulator] = None,
-    warm_frontiers: bool = False,
-) -> tuple[list[VerificationReport], int]:
-    """Execute ``tasks`` through ``store``: misses run on ``backend`` and
-    are committed as they stream; hits are deserialized.  Returns the
-    per-task reports *in task order* plus the hit count.
-
-    ``telemetry``/``kernel`` are pure observers layered over the sink
-    chain (store commit first, then stats fold, then trace line) — the
-    reports are field-identical with or without them.
-
-    ``warm_frontiers`` seeds every executed search cell's transposition
-    table from the store's persistent frontiers (current-salt rows for
-    the cell's exact scope) and commits the cell's dirty rows back,
-    parent-side, the moment its outcome streams out.  Report-invariant
-    by construction — warm entries never change a witness, only the
-    kernel steps spent finding it — so the fingerprints (and therefore
-    the hit/miss split) are identical with the knob on or off.
-    """
-    backend = backend if backend is not None else SerialBackend()
-    fingerprints = {task.index: store.fingerprint(task) for task in tasks}
-    cached: dict[int, VerificationReport] = {}
-    misses: list[ExecutionTask] = []
-    for task in tasks:
-        report = store.get(fingerprints[task.index])
-        if report is None:
-            misses.append(task)
-        else:
-            cached[task.index] = report
-            if telemetry is not None:
-                telemetry.record_hit(task.index, fingerprints[task.index])
-    frontier_keys: Optional[dict[int, str]] = None
-    if warm_frontiers:
-        frontier_keys = {}
-        warmed: list[ExecutionTask] = []
-        for task in misses:
-            if task.mode != "search":
-                warmed.append(task)
-                continue
-            cell_key = task_cell_key(task)
-            frontier_keys[task.index] = cell_key
-            warmed.append(replace(
-                task, frontiers=tuple(store.load_frontiers(cell_key))
-            ))
-        misses = warmed
-    sink: ResultSink = StoreBackedSink(store, fingerprints, campaign=campaign,
-                                       frontier_keys=frontier_keys)
-    inner = sink
-    if kernel is not None:
-        sink = KernelStatsSink(sink, kernel)
-    if telemetry is not None:
-        sink = telemetry.sink(sink)
-    # Drive the backend one outcome at a time: each add() commits before
-    # the next outcome is awaited, which is the kill-resume guarantee.
-    for outcome in backend.run(misses):
-        sink.add(outcome)
-    executed = {o.index: o.report for o in inner.result()}
-    reports = []
-    for task in tasks:
-        report = cached.get(task.index)
-        if report is None:
-            report = executed[task.index]
-        reports.append(report)
-    return reports, len(cached)
-
-
-def run_plan_with_store(
-    plan: ExecutionPlan,
-    store: ResultStore,
-    backend: Optional[Backend] = None,
-    campaign: Optional[str] = None,
-    telemetry: Optional[RunTelemetry] = None,
-    kernel: Optional[KernelAccumulator] = None,
-    warm_frontiers: bool = False,
-) -> VerificationReport:
-    """Opportunistic store reuse for any checker-carrying plan.
-
-    This is what ``verify_protocol(..., store=...)`` calls: the merged
-    report is field-identical to ``plan.verification_report`` — hits are
-    exact round-trips, misses execute normally — and every executed
-    task becomes a future hit.
-    """
-    reports, _ = _run_tasks_with_store(
-        plan.tasks, store, backend=backend, campaign=campaign,
-        telemetry=telemetry, kernel=kernel, warm_frontiers=warm_frontiers,
-    )
-    merged = VerificationReport(
-        "+".join(plan.protocol_names), "+".join(plan.model_names)
-    )
-    for report in reports:
-        merged.merge(report)
-    return merged
-
-
 class Campaign:
     """A runnable campaign: spec + the run/resume/report machinery."""
 
@@ -397,21 +292,14 @@ class Campaign:
         cell_results: list[CellResult] = []
         kernel = KernelAccumulator()
         for cell, plan in spec.plans():
-            if telemetry is not None:
-                telemetry.add_plan(plan)
-            reports, hits = _run_tasks_with_store(
-                plan.tasks, store, backend=backend, campaign=spec.name,
-                telemetry=telemetry, kernel=kernel,
-                warm_frontiers=warm_frontiers,
+            run = plan.run(
+                backend, store=store, telemetry=telemetry, kernel=kernel,
+                campaign=spec.name, warm_frontiers=warm_frontiers,
             )
-            merged = VerificationReport(
-                "+".join(plan.protocol_names), "+".join(plan.model_names)
-            )
-            for report in reports:
-                merged.merge(report)
-                overall.merge(report)
+            merged = run.report
+            overall.merge(merged)
             cell_results.append(
-                CellResult(cell, merged, tasks=len(plan.tasks), hits=hits)
+                CellResult(cell, merged, tasks=len(plan.tasks), hits=run.hits)
             )
         generation = record_generation(
             store, spec, [(c.cell, c.report) for c in cell_results]

@@ -574,7 +574,9 @@ class ResultStore:
 
     def put_outcome(self, fingerprint: str, outcome: TaskOutcome,
                     campaign: Optional[str] = None) -> None:
-        """Sink entry point (:class:`~repro.runtime.results.StoreBackedSink`).
+        """Commit one executed outcome; called by
+        :meth:`repro.runtime.plan.ExecutionPlan.run` before the next
+        outcome is awaited.
 
         Only checker-carrying outcomes are storable: raw ``RunResult``
         transcripts deliberately never enter the store (aggregates and

@@ -15,7 +15,7 @@ campaign records *exactly* the rows the uninterrupted run would have —
 the property the acceptance tests pin.
 
 :func:`render_trajectories` is the human view (``repro campaign
-report`` and ``tools/bench_report.py --campaign``);
+report``);
 :func:`diff_generations` is the machine view of what moved between two
 generations.
 """

@@ -534,29 +534,13 @@ def _run_plan(plan, backend, store, telemetry=None, kernel=None):
     """Run ``plan``, through ``store`` when one is given; returns the
     merged report plus a cache-accounting suffix for the listing line.
 
-    ``telemetry``/``kernel`` are observation-only sink layers — the
-    report is field-identical with or without them."""
-    if telemetry is not None:
-        telemetry.add_plan(plan)
+    ``telemetry``/``kernel`` only observe — the report is
+    field-identical with or without them."""
+    run = plan.run(backend, store=store, telemetry=telemetry, kernel=kernel)
     if store is None:
-        from .runtime.results import KernelStatsSink, ReportMergeSink
-
-        sink = ReportMergeSink(
-            "+".join(plan.protocol_names), "+".join(plan.model_names)
-        )
-        if kernel is not None:
-            sink = KernelStatsSink(sink, kernel)
-        if telemetry is not None:
-            sink = telemetry.sink(sink)
-        return plan.run(backend=backend, sink=sink), ""
-    from .campaigns.runner import run_plan_with_store
-
-    hits_before, writes_before = store.hits, store.writes
-    report = run_plan_with_store(plan, store, backend=backend,
-                                 telemetry=telemetry, kernel=kernel)
-    hits = store.hits - hits_before
-    executed = store.writes - writes_before
-    return report, f" [store: {hits} hits, {executed} executed]"
+        return run.report, ""
+    return run.report, (f" [store: {run.hits} hits, "
+                        f"{len(run.outcomes)} executed]")
 
 
 def _cmd_sweep(args) -> int:

@@ -234,9 +234,6 @@ class OneSparseRecovery:
     c1: int = 0
     fingerprint: int = 0
 
-    def _z(self) -> int:
-        return _z_of(self.seed)
-
     def update(self, item: int, delta: int) -> None:
         """Add ``delta`` to coordinate ``item`` (items are >= 1)."""
         if item < 1:

@@ -1,4 +1,4 @@
-"""The unified execution runtime: plans, backends, result sinks.
+"""The unified execution runtime: plans, backends, results.
 
 Every sweep in this repository — the verification harness, the E1–E18
 experiment registry, the CLI's ``sweep`` command, the parallel
@@ -7,12 +7,15 @@ scheduler) cells, execute them independently, merge the results
 deterministically.  This package is that shape, factored once:
 
 * :mod:`~repro.runtime.plan` — :class:`ExecutionPlan` builds the cell
-  product into picklable :class:`ExecutionTask` specs.
+  product into picklable :class:`ExecutionTask` specs, and its ``run``
+  is the one loop over backend outcomes: store hits served, each
+  executed outcome committed, counted and traced in task order, the
+  reports folded into a :class:`PlanRun`.
 * :mod:`~repro.runtime.backends` — :class:`SerialBackend` and the
   chunk-sharded :class:`ProcessPoolBackend` execute any plan with
   identical, deterministic results.
-* :mod:`~repro.runtime.results` — streaming sinks and the canonical
-  :class:`VerificationReport` with its ``merge`` fold.
+* :mod:`~repro.runtime.results` — :class:`TaskOutcome` and the
+  canonical :class:`VerificationReport` with its ``merge`` fold.
 
 Future sharding/caching/distribution work plugs in as new backends; the
 plan and report invariants (see ROADMAP.md, "Execution runtime") stay
@@ -20,17 +23,8 @@ fixed.
 """
 
 from .backends import Backend, ProcessPoolBackend, SerialBackend, resolve_backend
-from .plan import Checker, ExecutionPlan, ExecutionTask
-from .results import (
-    Failure,
-    ListSink,
-    ReportMergeSink,
-    ResultSink,
-    StoreBackedSink,
-    TaskOutcome,
-    VerificationReport,
-    WitnessRecord,
-)
+from .plan import Checker, ExecutionPlan, ExecutionTask, PlanRun
+from .results import Failure, TaskOutcome, VerificationReport, WitnessRecord
 
 __all__ = [
     "Backend",
@@ -40,11 +34,8 @@ __all__ = [
     "Checker",
     "ExecutionPlan",
     "ExecutionTask",
+    "PlanRun",
     "Failure",
-    "ListSink",
-    "ReportMergeSink",
-    "ResultSink",
-    "StoreBackedSink",
     "TaskOutcome",
     "VerificationReport",
     "WitnessRecord",

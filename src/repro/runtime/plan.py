@@ -30,7 +30,7 @@ task pickles cleanly and executes identically in any process.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional, Union
 
 from ..adversaries import (
@@ -49,16 +49,9 @@ from ..faults.spec import FaultSpec, resolve_faults
 from ..graphs.labeled_graph import LabeledGraph
 from ..telemetry import TaskCollection
 from ..telemetry import tracer as _trace
-from .results import (
-    ListSink,
-    ReportMergeSink,
-    ResultSink,
-    TaskOutcome,
-    VerificationReport,
-    WitnessRecord,
-)
+from .results import TaskOutcome, VerificationReport, WitnessRecord
 
-__all__ = ["Checker", "ExecutionTask", "ExecutionPlan"]
+__all__ = ["Checker", "ExecutionTask", "ExecutionPlan", "PlanRun"]
 
 #: ``checker(graph, output, result) -> bool`` — truthy means correct.
 Checker = Callable[[LabeledGraph, Any, "RunResult"], bool]
@@ -519,26 +512,117 @@ class ExecutionPlan:
     def __iter__(self) -> Iterator[ExecutionTask]:
         return iter(self.tasks)
 
-    def run(self, backend=None, sink: Optional[ResultSink] = None):
-        """Execute every task on ``backend``, streaming outcomes into
-        ``sink`` in task order; returns ``sink.result()``.
+    def run(self, backend=None, *, store=None, telemetry=None, kernel=None,
+            campaign: Optional[str] = None,
+            warm_frontiers: bool = False) -> "PlanRun":
+        """Execute the plan on ``backend`` (default
+        :class:`~repro.runtime.backends.SerialBackend`): the one loop
+        that consumes backend outcomes.
 
-        Defaults: :class:`~repro.runtime.backends.SerialBackend` and a
-        :class:`~repro.runtime.results.ListSink` (list of outcomes).
+        With a ``store`` (duck-typed: ``fingerprint``, ``get``,
+        ``put_outcome`` and, for ``warm_frontiers``, ``load_frontiers``
+        and ``put_frontiers``; :class:`repro.campaigns.store.ResultStore`
+        is the shipped one), every task is fingerprinted first, hits are
+        served from the store and only the misses reach the backend.
+        Each outcome is committed (with ``campaign`` as its label), then
+        folded into ``kernel`` (a
+        :class:`~repro.telemetry.KernelAccumulator`), then traced on
+        ``telemetry`` (a :class:`~repro.telemetry.RunTelemetry`), all
+        before the next outcome is awaited: a killed run leaves every
+        yielded outcome durable, which is what makes a re-run resume.
+
+        ``warm_frontiers`` seeds each executed search cell's
+        transposition table from the store's persistent frontiers and
+        commits the cell's dirty rows back with its outcome.  Warm
+        entries never change a witness, only the work spent finding it,
+        so the hit/miss split and the reports are the same with it off.
         """
         from .backends import SerialBackend
 
         if backend is None:
             backend = SerialBackend()
-        if sink is None:
-            sink = ListSink()
-        for outcome in backend.run(self.tasks):
-            sink.add(outcome)
-        return sink.result()
+        if warm_frontiers and store is None:
+            raise ValueError("warm_frontiers needs a store to load from")
+        if telemetry is not None:
+            telemetry.add_plan(self)
+        reports: dict[int, Optional[VerificationReport]] = {}
+        misses = list(self.tasks)
+        frontier_keys: dict[int, str] = {}
+        if store is not None:
+            fingerprints = {task.index: store.fingerprint(task)
+                            for task in self.tasks}
+            misses = []
+            for task in self.tasks:
+                report = store.get(fingerprints[task.index])
+                if report is None:
+                    misses.append(task)
+                    continue
+                reports[task.index] = report
+                if telemetry is not None:
+                    telemetry.record_hit(task.index, fingerprints[task.index])
+            if warm_frontiers:
+                from ..campaigns.frontiers import task_cell_key
+
+                for i, task in enumerate(misses):
+                    if task.mode == "search":
+                        cell_key = frontier_keys[task.index] = (
+                            task_cell_key(task))
+                        misses[i] = replace(task, frontiers=tuple(
+                            store.load_frontiers(cell_key)))
+        hits = len(self.tasks) - len(misses)
+        outcomes: list[TaskOutcome] = []
+        for outcome in backend.run(misses):
+            if store is not None:
+                store.put_outcome(fingerprints[outcome.index], outcome,
+                                  campaign=campaign)
+                cell_key = frontier_keys.get(outcome.index)
+                if cell_key is not None and outcome.frontiers:
+                    store.put_frontiers(cell_key, outcome.frontiers)
+            if kernel is not None:
+                kernel.add(outcome.kernel_stats)
+            if telemetry is not None:
+                telemetry.record_outcome(outcome)
+            outcomes.append(outcome)
+            reports[outcome.index] = outcome.report
+        return PlanRun(
+            protocol_name="+".join(self.protocol_names),
+            model_name="+".join(self.model_names),
+            reports=tuple(reports[task.index] for task in self.tasks),
+            outcomes=tuple(outcomes),
+            hits=hits,
+        )
 
     def verification_report(self, backend=None) -> VerificationReport:
         """Run the plan and merge per-task reports into one."""
-        sink = ReportMergeSink(
-            "+".join(self.protocol_names), "+".join(self.model_names)
-        )
-        return self.run(backend=backend, sink=sink)
+        return self.run(backend).report
+
+
+@dataclass(frozen=True)
+class PlanRun:
+    """What one :meth:`ExecutionPlan.run` produced.
+
+    ``reports`` holds every task's report in task order (store hits
+    included; ``None`` for checker-less tasks), ``outcomes`` the
+    outcomes the backend executed, in task order, and ``hits`` the
+    number of tasks served from the store.
+    """
+
+    protocol_name: str
+    model_name: str
+    reports: tuple[Optional[VerificationReport], ...]
+    outcomes: tuple[TaskOutcome, ...]
+    hits: int
+
+    @property
+    def report(self) -> VerificationReport:
+        """The per-task reports folded in task order: field-identical
+        for any backend and any hit/miss split."""
+        merged = VerificationReport(self.protocol_name, self.model_name)
+        for index, report in enumerate(self.reports):
+            if report is None:
+                raise ValueError(
+                    f"task {index} produced no report; build the plan "
+                    "with a checker to merge verification reports"
+                )
+            merged.merge(report)
+        return merged

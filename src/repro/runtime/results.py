@@ -1,4 +1,4 @@
-"""Result types and streaming sinks for the execution runtime.
+"""Result types for the execution runtime.
 
 :class:`VerificationReport` (and its per-execution :class:`Failure`
 records) is the canonical aggregate of a correctness sweep.  It
@@ -8,11 +8,9 @@ per-task reports in worker processes — can depend on it without
 importing the analysis layer.
 
 Backends deliver :class:`TaskOutcome` objects in deterministic task
-order; a :class:`ResultSink` consumes them one at a time, so arbitrarily
-large sweeps never require holding every execution in memory at once.
-:class:`ReportMergeSink` folds per-task reports into a single
-:class:`VerificationReport` via :meth:`VerificationReport.merge` — the
-one merging loop shared by the serial path and the process backend.
+order, and :meth:`repro.runtime.plan.ExecutionPlan.run` is their only
+consumer: it commits, counts and traces each outcome as it arrives,
+then folds the per-task reports with :meth:`VerificationReport.merge`.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from ..graphs.labeled_graph import LabeledGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.simulator import RunResult
-    from ..telemetry.stats import KernelAccumulator, KernelStats
+    from ..telemetry.stats import KernelStats
     from ..telemetry.tracer import TaskTelemetry
 
 __all__ = [
@@ -32,11 +30,6 @@ __all__ = [
     "WitnessRecord",
     "VerificationReport",
     "TaskOutcome",
-    "ResultSink",
-    "ListSink",
-    "ReportMergeSink",
-    "StoreBackedSink",
-    "KernelStatsSink",
 ]
 
 
@@ -171,106 +164,3 @@ class TaskOutcome:
     #: search cells executed with warm frontiers enabled carry them;
     #: ``None`` keeps every other outcome byte-identical.
     frontiers: Optional[tuple] = None
-
-
-class ResultSink:
-    """Streaming consumer of task outcomes, fed in task order."""
-
-    def add(self, outcome: TaskOutcome) -> None:
-        raise NotImplementedError
-
-    def result(self) -> Any:
-        raise NotImplementedError
-
-
-class ListSink(ResultSink):
-    """Collect every outcome (the default for raw sweeps)."""
-
-    def __init__(self) -> None:
-        self.outcomes: list[TaskOutcome] = []
-
-    def add(self, outcome: TaskOutcome) -> None:
-        self.outcomes.append(outcome)
-
-    def result(self) -> list[TaskOutcome]:
-        return self.outcomes
-
-
-class StoreBackedSink(ResultSink):
-    """Persist every outcome the moment a backend yields it, then
-    delegate to an inner sink.
-
-    ``store`` is duck-typed (``put_outcome(fingerprint, outcome,
-    campaign=...)``) so the runtime layer stays independent of the
-    concrete persistence layer (:class:`repro.campaigns.store.ResultStore`
-    is the shipped implementation); ``fingerprints`` maps task index to
-    the task's fingerprint.  Because the write happens inside ``add`` —
-    i.e. in the driving process, in task order, as outcomes stream out
-    of the backend — a killed sweep leaves every already-yielded outcome
-    durable, which is what makes campaigns resumable.  Backends stay
-    stateless: the store is only ever touched here.
-    """
-
-    def __init__(self, store: Any, fingerprints: "dict[int, str]",
-                 inner: Optional[ResultSink] = None,
-                 campaign: Optional[str] = None,
-                 frontier_keys: "Optional[dict[int, str]]" = None) -> None:
-        self.store = store
-        self.fingerprints = dict(fingerprints)
-        self.inner = inner if inner is not None else ListSink()
-        self.campaign = campaign
-        #: Task index → frontier cell key (``put_frontiers`` scope) for
-        #: warm-frontier runs; ``None`` leaves frontier rows uncommitted.
-        self.frontier_keys = (
-            dict(frontier_keys) if frontier_keys is not None else None
-        )
-
-    def add(self, outcome: TaskOutcome) -> None:
-        self.store.put_outcome(
-            self.fingerprints[outcome.index], outcome, campaign=self.campaign
-        )
-        if self.frontier_keys is not None and outcome.frontiers:
-            cell_key = self.frontier_keys.get(outcome.index)
-            if cell_key is not None:
-                self.store.put_frontiers(cell_key, outcome.frontiers)
-        self.inner.add(outcome)
-
-    def result(self) -> Any:
-        return self.inner.result()
-
-
-class KernelStatsSink(ResultSink):
-    """Fold each outcome's deterministic kernel snapshot into an
-    accumulator, then delegate.  Pure observation: the outcome passes
-    through untouched, so wrapping any sink chain with this one cannot
-    change what the chain computes."""
-
-    def __init__(self, inner: ResultSink,
-                 accumulator: "KernelAccumulator") -> None:
-        self.inner = inner
-        self.accumulator = accumulator
-
-    def add(self, outcome: TaskOutcome) -> None:
-        self.accumulator.add(outcome.kernel_stats)
-        self.inner.add(outcome)
-
-    def result(self) -> Any:
-        return self.inner.result()
-
-
-class ReportMergeSink(ResultSink):
-    """Merge per-task verification reports into one."""
-
-    def __init__(self, protocol_name: str, model_name: str) -> None:
-        self.report = VerificationReport(protocol_name, model_name)
-
-    def add(self, outcome: TaskOutcome) -> None:
-        if outcome.report is None:
-            raise ValueError(
-                f"task {outcome.index} produced no report; build the plan "
-                "with a checker to merge verification reports"
-            )
-        self.report.merge(outcome.report)
-
-    def result(self) -> VerificationReport:
-        return self.report

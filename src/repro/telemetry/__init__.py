@@ -6,7 +6,7 @@ on is that enabling tracing cannot change what the engine computes:
 * enablement is an environment flag (``REPRO_TRACE``), never a task
   attribute, so campaign fingerprints are blind to it;
 * workers never write shared files — per-task payloads ride inside
-  ``TaskOutcome`` and fold through the existing sink/merge seam, and
+  ``TaskOutcome`` and fold through ``ExecutionPlan.run``, and
   only the parent's :class:`RunTelemetry` session serializes the JSONL
   event stream and run manifest;
 * deterministic counters (:class:`KernelStats`) are split from timing
@@ -36,7 +36,6 @@ from .schema import (
 from .session import (
     SCHEMA_VERSION,
     RunTelemetry,
-    TelemetrySink,
     machine_metadata,
     plan_spec_digest,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "MetricsRegistry",
     "merge_metric_summaries",
     "RunTelemetry",
-    "TelemetrySink",
     "machine_metadata",
     "plan_spec_digest",
     "TraceSchemaError",

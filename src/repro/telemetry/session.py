@@ -16,9 +16,10 @@ session serializes them as they stream out of the backend:
 
 Opening a session turns tracing on for this process and future workers
 (:func:`~repro.telemetry.tracer.set_tracing`); closing restores the
-previous setting.  Everything is observation-only: the session wraps
-sinks (:class:`TelemetrySink`) without touching what flows through
-them, so merged reports are byte-identical with or without a session.
+previous setting.  Everything is observation-only:
+:meth:`repro.runtime.plan.ExecutionPlan.run` hands the session each
+outcome after committing it and never reads anything back, so merged
+reports are byte-identical with or without a session.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import socket
 import time
 import uuid
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 from .metrics import merge_metric_summaries
 from .stats import KernelStats
@@ -39,7 +40,6 @@ from .tracer import Tracer, activated, set_tracing, tracing_enabled
 __all__ = [
     "SCHEMA_VERSION",
     "RunTelemetry",
-    "TelemetrySink",
     "machine_metadata",
     "plan_spec_digest",
 ]
@@ -174,11 +174,6 @@ class RunTelemetry:
         with activated(self.tracer):
             yield self
 
-    def sink(self, inner) -> "TelemetrySink":
-        """Wrap a result sink so every outcome is recorded after the
-        inner sink (i.e. after any store commit) accepts it."""
-        return TelemetrySink(self, inner)
-
     # -- manifest ------------------------------------------------------
 
     @property
@@ -236,18 +231,3 @@ class RunTelemetry:
         self.finish("ok" if exc_type is None else "error")
         return False
 
-
-class TelemetrySink:
-    """Duck-typed ``ResultSink`` wrapper: delegate first (so a store
-    commit is durable before its trace line exists), then record."""
-
-    def __init__(self, session: RunTelemetry, inner: Any) -> None:
-        self.session = session
-        self.inner = inner
-
-    def add(self, outcome) -> None:
-        self.inner.add(outcome)
-        self.session.record_outcome(outcome)
-
-    def result(self) -> Any:
-        return self.inner.result()

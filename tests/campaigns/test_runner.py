@@ -10,7 +10,6 @@ from repro.campaigns import (
     CampaignSpec,
     ResultStore,
     quick_campaign,
-    run_plan_with_store,
 )
 from repro.core import SIMASYNC
 from repro.graphs.generators import random_k_degenerate
@@ -173,12 +172,12 @@ class TestPlanReuse:
             mode="verify", checker=BuildEqualsInput(), keep_runs=False,
         )
 
-    def test_run_plan_with_store_matches_plain_run(self, tmp_path):
+    def test_plan_run_with_store_matches_plain_run(self, tmp_path):
         plan = self.plan()
         plain = plan.verification_report()
         with ResultStore(tmp_path / "s.db", salt="s") as store:
-            cold = run_plan_with_store(plan, store)
-            warm = run_plan_with_store(plan, store)
+            cold = plan.run(store=store).report
+            warm = plan.run(store=store).report
             assert store.writes == len(plan.tasks)  # warm pass wrote nothing
         assert cold == plain
         assert warm == plain

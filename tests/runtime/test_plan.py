@@ -7,7 +7,7 @@ from repro.analysis.verify import verify_protocol
 from repro.core import SIMASYNC, SIMSYNC, MinIdScheduler, RandomScheduler, run
 from repro.graphs import generators as gen
 from repro.protocols.build import DegenerateBuildProtocol, ForestBuildProtocol
-from repro.runtime import ExecutionPlan, ListSink, SerialBackend
+from repro.runtime import ExecutionPlan, SerialBackend
 
 
 class TestBuild:
@@ -79,7 +79,7 @@ class TestExecution:
         plan = ExecutionPlan.build(
             DegenerateBuildProtocol(2), SIMASYNC, [g], schedulers=scheds
         )
-        outcomes = plan.run(backend=SerialBackend(), sink=ListSink())
+        outcomes = plan.run(backend=SerialBackend()).outcomes
         assert len(outcomes) == 1 and outcomes[0].report is None
         direct = [
             run(g, DegenerateBuildProtocol(2), SIMASYNC, s) for s in scheds

@@ -7,7 +7,6 @@ from repro.core.models import MODELS_BY_NAME
 from repro.graphs import generators as gen
 from repro.protocols.build import DegenerateBuildProtocol
 from repro.runtime.plan import ExecutionPlan
-from repro.runtime.results import ReportMergeSink
 from repro.telemetry import RunTelemetry, load_trace, render_report
 
 
@@ -22,12 +21,7 @@ def trace(tmp_path_factory):
         bit_budget=lambda n: 4096)
     with RunTelemetry(path, command="stress") as session:
         with session.activate():
-            session.add_plan(plan)
-            sink = session.sink(
-                ReportMergeSink(plan.protocol_names[0],
-                                plan.model_names[0]))
-            for task in plan.tasks:
-                sink.add(task.execute())
+            plan.run(telemetry=session)
     return load_trace(path)
 
 

@@ -9,7 +9,6 @@ from repro.core.models import MODELS_BY_NAME
 from repro.graphs import generators as gen
 from repro.protocols.build import DegenerateBuildProtocol
 from repro.runtime.plan import ExecutionPlan
-from repro.runtime.results import ReportMergeSink
 from repro.telemetry import (
     RunTelemetry,
     TraceSchemaError,
@@ -33,12 +32,7 @@ def _traced_run(tmp_path, sizes=(4, 6)):
     plan = _plan(sizes)
     with RunTelemetry(path, command="test", argv=["--x"]) as session:
         with session.activate():
-            session.add_plan(plan)
-            sink = session.sink(
-                ReportMergeSink(plan.protocol_names[0],
-                                plan.model_names[0]))
-            for task in plan.tasks:
-                sink.add(task.execute())
+            plan.run(telemetry=session)
     return path, session
 
 

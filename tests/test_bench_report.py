@@ -1,9 +1,8 @@
-"""tools/bench_report.py: rendering, the drift gate, campaign mode."""
+"""tools/bench_report.py: rendering and the drift gate."""
 
 import importlib.util
 import json
 import shutil
-import sys
 from pathlib import Path
 
 import pytest
@@ -155,18 +154,3 @@ class TestMain:
         assert bench_report.main([]) == 0
         out = capsys.readouterr().out
         assert "Performance trajectory" in out
-
-    def test_campaign_mode(self, bench_report, tmp_path, capsys):
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-        from repro.campaigns import Campaign, ResultStore, quick_campaign
-
-        store_path = tmp_path / "c.db"
-        with ResultStore(store_path, salt="s") as store:
-            Campaign(quick_campaign("ci")).run(store)
-        assert bench_report.main(["--campaign", str(store_path)]) == 0
-        out = capsys.readouterr().out
-        assert "campaign 'ci'" in out and "DEADLOCK" in out
-
-    def test_campaign_mode_missing_store(self, bench_report, tmp_path):
-        with pytest.raises(SystemExit):
-            bench_report.main(["--campaign", str(tmp_path / "absent.db")])

@@ -357,6 +357,13 @@ class TestCampaignCommands:
         with pytest.raises(SystemExit):
             main(["campaign", "run", "--store", str(tmp_path / "x.db")])
 
+    def test_report_on_absent_store_errors_and_creates_nothing(self,
+                                                              tmp_path):
+        absent = tmp_path / "absent.db"
+        with pytest.raises(SystemExit):
+            main(["campaign", "report", "--store", str(absent)])
+        assert not absent.exists()
+
     def test_stress_listing_shows_minimal_schedule(self, capsys):
         assert main(["stress", "--protocol", "build-degenerate",
                      "--family", "k-degenerate", "--sizes", "4",

@@ -15,15 +15,11 @@ strategy the current code ships), or when a bench's recorded
 ``table_hit_rate`` dropped more than 20% against the previous run on
 the same machine (hit rates, unlike seconds, only compare within one
 machine).  Use ``--allow-stale`` to render anyway while investigating.
-
-With ``--campaign STORE.db`` it instead renders the cross-run witness
-trajectories a campaign store has accumulated
-(:mod:`repro.campaigns.trajectories`).
+Campaign witness trajectories render with ``repro campaign report``.
 
 Usage::
 
     python tools/bench_report.py [path/to/BENCH_perf.json] [--allow-stale]
-    python tools/bench_report.py --campaign path/to/store.db [--name X]
 """
 
 from __future__ import annotations
@@ -315,34 +311,13 @@ def render_scale_curve() -> str:
     return "\n".join(lines)
 
 
-def render_campaign(store_path: Path, name: str | None) -> str:
-    from repro.campaigns import ResultStore, render_trajectories
-
-    if not store_path.exists():
-        raise SystemExit(
-            f"{store_path} not found — run `python -m repro campaign run "
-            f"--store {store_path} ...` first"
-        )
-    with ResultStore(store_path) as store:
-        return render_trajectories(store, name)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("path", nargs="?", default=None,
                         help="BENCH_perf.json location (default: repo root)")
     parser.add_argument("--allow-stale", action="store_true",
                         help="render even when sections are stale/missing")
-    parser.add_argument("--campaign", metavar="STORE",
-                        help="render witness trajectories from a campaign "
-                             "store instead of the perf trajectory")
-    parser.add_argument("--name", default=None,
-                        help="campaign name filter (with --campaign)")
     args = parser.parse_args(argv)
-
-    if args.campaign:
-        print(render_campaign(Path(args.campaign), args.name))
-        return 0
 
     path = Path(args.path) if args.path else DEFAULT_PATH
     trajectory = load_trajectory(path)
