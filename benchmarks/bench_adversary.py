@@ -20,11 +20,9 @@ For every fixture small enough to enumerate exhaustively, measures
   every strategy is gated against the faulted ground truth exactly like
   the reliable rows above.
 
-The summary lands in ``reports/adversary_search.txt``;
-``benchmarks/bench_regression.py`` records the headline
-``adversary_search_n6`` / ``adversary_table_n6`` numbers into
-``BENCH_perf.json`` so the search-vs-enumeration and table-on
-trajectories are tracked across PRs.
+The summary lands in ``reports/adversary_search.txt``, whose freshness
+``tests/test_reports_fresh.py`` checks (its markers mirror
+:data:`FAULT_BUDGETS`).
 
 Usage::
 

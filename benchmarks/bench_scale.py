@@ -97,9 +97,9 @@ def test_scale_summary(benchmark, write_report, report_dir):
     for name, dt, bits in rows:
         lines.append(f"{name:<22} {dt:>9.2f}s {bits:>13}")
     write_report("scale_stress", "\n".join(lines))
-    # Machine-readable twin of the table above: tools/bench_report.py
-    # renders and staleness-checks it, so downstream tooling never
-    # scrapes the fixed-width text.
+    # Machine-readable twin of the table above: tests/test_reports_fresh.py
+    # staleness-checks it, so downstream tooling never scrapes the
+    # fixed-width text.
     payload = {
         "bench": "scale_stress",
         "rows": [
@@ -113,8 +113,8 @@ def test_scale_summary(benchmark, write_report, report_dir):
 
 #: The exhaustive-enumeration curve: sizes swept, and the size past
 #: which the scalar engine is no longer interactive (the "cliff") —
-#: mirrored by tools/bench_report.py's staleness markers; widen both
-#: together.
+#: mirrored by tests/test_reports_fresh.py's staleness markers; widen
+#: both together.
 CURVE_SIZES = (5, 6, 7, 8, 9)
 SCALAR_CLIFF = 7
 

@@ -451,7 +451,8 @@ class ResultStore:
     ``path`` may be ``":memory:"`` for tests.  ``salt`` defaults to
     :func:`code_version_salt`; every fingerprint this store computes
     uses it.  The session counters ``hits``/``misses``/``writes`` track
-    cache behaviour since construction (they are not persisted).
+    cache behaviour since construction (they are not persisted);
+    ``writes`` counts result rows only, not frontier rows.
     """
 
     def __init__(self, path: "str | Path", salt: Optional[str] = None) -> None:
@@ -648,7 +649,6 @@ class ResultStore:
              for digest, key_json, entry_json in encoded],
         )
         self._conn.commit()
-        self.writes += 1
         return len(encoded)
 
     def load_frontiers(self, cell_key: str) -> list:

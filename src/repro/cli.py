@@ -414,7 +414,7 @@ def _cmd_fig(which: int) -> int:
 
 
 def _cmd_lemma1(args) -> int:
-    from .analysis.scaling import fit_klog, fit_log
+    from .analysis.scaling import fit_log
     from .core import SIMASYNC, MinIdScheduler, run
     from .graphs.generators import random_k_degenerate
     from .protocols.build import DegenerateBuildProtocol

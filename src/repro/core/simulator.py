@@ -33,9 +33,9 @@ module is its classic drivers:
 
 Guided searches that *don't* want to visit the whole tree (greedy,
 beam, branch-and-bound adversaries) drive the same machine from
-:mod:`repro.adversaries`.  ``_all_executions_replay`` remains as the
-deliberately naive replay-from-scratch reference: equivalence tests and
-the perf-regression gate compare the engine against it.
+:mod:`repro.adversaries`.  The deliberately naive replay-from-scratch
+reference the engine is pinned against lives with the tests
+(``tests/replay_reference.py``).
 """
 
 from __future__ import annotations
@@ -124,7 +124,8 @@ def all_executions(
     through the whole tree with snapshot/restore branching: stateless
     protocols (``fresh()`` returns ``self``) undo in O(1) per backtrack,
     stateful ones restore by replay.  Both produce the same results in
-    the same order (pinned against ``_all_executions_replay`` by tests).
+    the same order (pinned against a replay-from-scratch reference by
+    tests).
 
     With a ``faults`` budget the same DFS enumerates the *joint* fault ×
     schedule space — every way the adversary can interleave crashes,
@@ -139,35 +140,6 @@ def all_executions(
         produced += 1
         if limit is not None and produced >= limit:
             return
-
-
-def _all_executions_replay(
-    graph: LabeledGraph,
-    protocol: Protocol,
-    model: ModelSpec,
-    bit_budget: Optional[int],
-    faults: Union[None, str, FaultSpec] = None,
-) -> Iterator[RunResult]:
-    """Replay-from-scratch DFS — the naive correctness reference.
-
-    Every probed prefix rebuilds a fresh state and replays each choice,
-    so each schedule-tree edge executes once per node below it.  Kept
-    (not used by :func:`all_executions`) as the equivalence baseline for
-    tests and the same-machine perf-regression gate.
-    """
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        prefix = stack.pop()
-        state = ExecutionState.initial(graph, protocol, model, bit_budget,
-                                       faults=faults)
-        for choice in prefix:
-            state.advance(choice)
-        if state.terminal:
-            yield state.result()
-        else:
-            # Reversed so the natural (ascending) order is explored first.
-            for c in reversed(state.candidates):
-                stack.append(prefix + (c,))
 
 
 def count_executions(

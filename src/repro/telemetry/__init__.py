@@ -19,7 +19,7 @@ This package is a leaf: stdlib at module level, engine imports only
 lazily inside functions, so every layer can import it cycle-free.
 """
 
-from .collect import NULL_COLLECTION, TaskCollection
+from .collect import TaskCollection
 from .metrics import (
     Counter,
     Histogram,
@@ -74,7 +74,6 @@ __all__ = [
     "Tracer",
     "TaskTelemetry",
     "TaskCollection",
-    "NULL_COLLECTION",
     "KernelStats",
     "KernelAccumulator",
     "Counter",

@@ -10,9 +10,6 @@ context's table, once bound); and — only when
 in ``TaskOutcome.telemetry``.  Workers never write shared files: the
 collection's output is plain picklable data on the outcome, folded by
 the parent exactly like reports.
-
-``NULL_COLLECTION`` is the instrumentation-free reference path the
-``telemetry_overhead_n6`` benchmark gate compares against.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from typing import Any, Optional
 
 from .tracer import Tracer, _pop_active, _push_active, tracing_enabled
 
-__all__ = ["TaskCollection", "NULL_COLLECTION"]
+__all__ = ["TaskCollection"]
 
 
 class TaskCollection:
@@ -79,30 +76,3 @@ class TaskCollection:
         if kernel is None and telemetry is None:
             return outcome
         return replace(outcome, kernel_stats=kernel, telemetry=telemetry)
-
-
-class _NullCollection:
-    """The do-nothing collection: the pre-telemetry execute path.
-
-    Exists so the overhead benchmark can run the same cell body with
-    zero observation and gate the instrumented tracing-off path against
-    it on the same machine.
-    """
-
-    __slots__ = ()
-    tracer = None
-
-    def __enter__(self) -> "_NullCollection":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        return False
-
-    def observe_context(self, context) -> None:
-        pass
-
-    def finalize(self, outcome):
-        return outcome
-
-
-NULL_COLLECTION = _NullCollection()

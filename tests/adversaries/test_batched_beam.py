@@ -125,6 +125,34 @@ def test_batch_occupancy_recorded():
     assert scalar_stats.batch_occupancy == 0.0
 
 
+def test_wide_beam_steps_every_child_batched():
+    """A width-128 beam never drops to the scalar pass: every step it
+    takes is a batched child."""
+    g = gen.random_k_degenerate(6, 2, seed=0)
+    _, stats = _search(True, g, DegenerateBuildProtocol(2), SIMASYNC,
+                       width=128, restarts=4)
+    assert stats.batch_children == stats.steps > 0
+
+
+def test_wide_beam_stress_plan_steps_every_child_batched():
+    """Run as stress cells through ``execute()``, a width-720 beam over
+    three n=6 cells still steps every child batched."""
+    from repro.runtime import ExecutionPlan
+
+    plan = ExecutionPlan.build(
+        DegenerateBuildProtocol(2), SIMASYNC,
+        [gen.random_k_degenerate(6, 2, seed=s) for s in range(3)],
+        mode="stress",
+        adversaries=[BeamSearchAdversary(width=720, restarts=4, seed=0)],
+        checker=lambda graph, output, result: output == graph,
+        exhaustive_threshold=4,
+        minimize_witnesses=False,
+    )
+    for task in plan.tasks:
+        kernel = task.execute().kernel_stats
+        assert kernel.batch_children == kernel.steps > 0
+
+
 def test_batch_knob_fingerprint_private():
     """The batch preference is an accelerator knob, not a semantic
     parameter: it must stay out of the public primitive attributes that

@@ -137,7 +137,8 @@ class TestBoundedSweepExact:
         boundless, _ = run(False)
         bounded, ctx = run(True)
         assert ctx.stats.bound_prunes > 0
-        assert bounded.explored < boundless.explored
+        # 56 nodes against 41,090 when this was written
+        assert bounded.explored * 100 <= boundless.explored
         assert (bounded.schedule, bounded.bits, bounded.total_bits,
                 bounded.deadlock) == (boundless.schedule, boundless.bits,
                                       boundless.total_bits,

@@ -383,6 +383,32 @@ class TestCrossStrategySharing:
         assert (witness_rank(first) == witness_rank(second)
                 == witness_rank(solo))
 
+    def test_bnb_first_portfolio_steps_less_with_a_table(self):
+        """With bnb first, its exact frontiers are in the shared table
+        before the other strategies run, so the portfolio takes strictly
+        fewer kernel steps than with no table.  Exact answers agree; the
+        heuristics may only improve on their table-free witnesses."""
+        g = gen.random_even_odd_bipartite(6, 0.5, seed=1)
+
+        def portfolio(context):
+            strategies = sorted(default_search_portfolio(),
+                                key=lambda s: s.name != "branch-and-bound")
+            witnesses = {
+                s.name: s.search(g, EobBfsProtocol(), ASYNC, context=context)
+                for s in strategies
+            }
+            return witnesses, context.snapshot()
+
+        off, off_kernel = portfolio(SearchContext())
+        on, on_kernel = portfolio(_shared_context())
+        assert (on["branch-and-bound"].schedule
+                == off["branch-and-bound"].schedule)
+        assert on["deadlock-dfs"].deadlock == off["deadlock-dfs"].deadlock
+        for name, witness in off.items():
+            assert witness_rank(on[name]) >= witness_rank(witness), name
+        assert on_kernel.table_hits > 0
+        assert on_kernel.steps < off_kernel.steps
+
     def test_stats_accumulate_across_strategies(self):
         g = gen.path_graph(4)
         ctx = _shared_context()

@@ -8,6 +8,7 @@ exactly the claimed accounting.
 """
 
 import inspect
+import math
 import pickle
 
 import pytest
@@ -18,6 +19,8 @@ from repro.adversaries import (
     BranchAndBoundAdversary,
     DeadlockAdversary,
     GreedyBitsAdversary,
+    SearchContext,
+    TranspositionTable,
     default_search_portfolio,
     worst_witness,
 )
@@ -140,6 +143,41 @@ class TestAgainstExhaustive:
             assert has_deadlock
         else:
             assert witness.bits == exhaustive_bits
+
+    def test_portfolio_beats_enumeration_on_simasync_build(self):
+        """On the 720-schedule n=6 SIMASYNC BUILD cell every
+        bit-maximising strategy reaches the exhaustive maximum, bnb
+        answers in one n-step descent, and the whole portfolio steps
+        fewer configurations than enumerating the 1,956-edge schedule
+        tree."""
+        g = gen.random_k_degenerate(6, 2, seed=0)
+        truth, _ = ground_truth(g, lambda: DegenerateBuildProtocol(2),
+                                SIMASYNC)
+        context = SearchContext()
+        for strategy in default_search_portfolio():
+            witness = strategy.search(g, DegenerateBuildProtocol(2),
+                                      SIMASYNC, context=context)
+            assert not witness.deadlock
+            if strategy.name != "deadlock-dfs":
+                assert witness.bits == truth, strategy.name
+            if strategy.name == "branch-and-bound":
+                assert witness.explored == g.n
+        tree_edges = sum(math.perm(6, k) for k in range(1, 7))
+        assert context.stats.steps < tree_edges
+
+    def test_simasync_collapse_skips_the_table(self):
+        """The SIMASYNC collapse answers before the sweep starts: the
+        tree never branches, so bnb takes one n-step descent and does
+        not even probe or store the root in a shared table."""
+        g = gen.random_k_degenerate(6, 2, seed=0)
+        truth, _ = ground_truth(g, lambda: DegenerateBuildProtocol(2),
+                                SIMASYNC)
+        context = SearchContext(table=TranspositionTable())
+        witness = BranchAndBoundAdversary().search(
+            g, DegenerateBuildProtocol(2), SIMASYNC, context=context)
+        kernel = context.snapshot()
+        assert witness.bits == truth and witness.explored == g.n
+        assert kernel.table_probes == kernel.table_stores == 0
 
     @pytest.mark.parametrize("graph,protocol_factory,model", FIXTURES)
     def test_deadlock_seeker_iff_deadlock_exists(self, graph,

@@ -228,6 +228,15 @@ class TestWarmCampaign:
         assert warm.kernel.frontier_hits > 0
         assert _result_payload(warm) == _result_payload(cold)
 
+    def test_writes_count_result_rows_only(self):
+        """Frontier rows are not outcomes: an interrupted warm run must
+        not report them as executed outcomes committed."""
+        with ResultStore(":memory:") as store:
+            result = Campaign(warm_smoke_campaign()).run(
+                store, warm_frontiers=True)
+            assert store.frontier_count() > 0
+            assert store.writes == result.executed
+
     def test_warm_flag_invisible_to_fingerprints(self, tmp_path):
         """Warm frontiers change the work, never the result, so a warm
         run must be a pure cache hit for an identical cold run."""

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core.errors import MessageTooLarge, ProtocolViolation, SchedulerError
+from repro.core.execution import ExecutionState
 from repro.core.models import ALL_MODELS, ASYNC, SIMASYNC, SIMSYNC, SYNC
 from repro.core.protocol import NodeView, Protocol
 from repro.core.schedulers import (
@@ -15,8 +16,15 @@ from repro.core.schedulers import (
     Scheduler,
 )
 from repro.core.simulator import all_executions, count_executions, run
-from repro.graphs.generators import path_graph, random_graph
+from repro.graphs.generators import (
+    path_graph,
+    random_graph,
+    random_k_degenerate,
+)
 from repro.graphs.labeled_graph import LabeledGraph
+from repro.protocols.build import DegenerateBuildProtocol
+
+from replay_reference import all_executions_replay
 
 
 class EchoProtocol(Protocol):
@@ -241,29 +249,45 @@ class TestIncrementalMatchesReplay:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     @pytest.mark.parametrize("proto_cls", [EchoProtocol, LocalOnlyProtocol, PickyActivation])
     def test_equivalence_across_models(self, model, proto_cls):
-        from repro.core.simulator import _all_executions_replay
-
         g = path_graph(4)
         proto = proto_cls()
         assert proto.fresh() is proto  # all three take the incremental path
         fast = [self._fingerprint(r) for r in all_executions(g, proto, model)]
         slow = [
             self._fingerprint(r)
-            for r in _all_executions_replay(g, proto, model, None)
+            for r in all_executions_replay(g, proto, model, None)
         ]
         assert fast == slow and len(fast) > 0
 
     def test_deadlock_equivalence(self):
-        from repro.core.simulator import _all_executions_replay
-
         g = path_graph(3)
         fast = [self._fingerprint(r) for r in all_executions(g, NeverActivate(), ASYNC)]
         slow = [
             self._fingerprint(r)
-            for r in _all_executions_replay(g, NeverActivate(), ASYNC, None)
+            for r in all_executions_replay(g, NeverActivate(), ASYNC, None)
         ]
         assert fast == slow
         assert fast and not fast[0][0]  # the lone execution deadlocks
+
+    def test_each_tree_edge_advances_once(self, monkeypatch):
+        """Checkpoint/undo steps every schedule-tree edge exactly once:
+        SIMASYNC BUILD at n=6 has 6! = 720 leaves below
+        sum_k 6!/(6-k)! = 1,956 edges.  Replaying each leaf from scratch
+        would take 9,786 advances."""
+        calls = 0
+        advance = ExecutionState.advance
+
+        def counting(state, choice):
+            nonlocal calls
+            calls += 1
+            return advance(state, choice)
+
+        monkeypatch.setattr(ExecutionState, "advance", counting)
+        g = random_k_degenerate(6, 2, seed=0)
+        leaves = sum(1 for _ in all_executions(g, DegenerateBuildProtocol(2),
+                                               SIMASYNC))
+        assert leaves == math.factorial(6)
+        assert calls == sum(math.perm(6, k) for k in range(1, 7)) == 1956
 
     def test_stateful_protocols_take_the_replay_path(self):
         from repro.hierarchy.adapters import FreezeAtActivation

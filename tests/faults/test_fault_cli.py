@@ -120,6 +120,19 @@ class TestGracefulDegradation:
         assert code == 0
         assert "(100% cached)" in capsys.readouterr().out
 
+    def test_warm_interrupt_counts_outcomes_not_frontier_rows(
+            self, tmp_path, monkeypatch, capsys):
+        store = str(tmp_path / "warm.db")
+        monkeypatch.setattr(Backend, "run", interrupting_run(Backend.run))
+        code = main(["campaign", "run", "--name", "warm-resume",
+                     "--protocol", "bfs-bipartite-async",
+                     "--family", "even-odd-bipartite", "--sizes", "6",
+                     "--seeds", "0", "1", "--threshold", "5",
+                     "--warm-frontiers", "--store", store])
+        out = capsys.readouterr().out
+        assert code == 130
+        assert "1 executed outcome(s) committed" in out
+
     def test_stress_interrupt_without_store_discards(self, monkeypatch,
                                                      capsys):
         def explode(self, tasks):

@@ -10,16 +10,14 @@ import pytest
 
 from repro.core import ASYNC, SIMASYNC
 from repro.core.execution import ExecutionState, replay_schedule
-from repro.core.simulator import (
-    _all_executions_replay,
-    all_executions,
-    count_executions,
-)
+from repro.core.simulator import all_executions, count_executions
 from repro.faults.spec import FaultSpec, crash_event, dup_event, loss_event
 from repro.graphs import generators as gen
 from repro.graphs.families import family
 from repro.protocols.bfs import EobBfsProtocol
 from repro.protocols.build import DegenerateBuildProtocol
+
+from replay_reference import all_executions_replay
 
 
 def build_state(faults=None, n=4, model=SIMASYNC):
@@ -197,8 +195,8 @@ class TestJointSpace:
         g = gen.cycle_graph(4)
         proto = DegenerateBuildProtocol(2)
         fast = list(all_executions(g, proto, SIMASYNC, faults=faults))
-        slow = list(_all_executions_replay(g, proto, SIMASYNC, None,
-                                           faults=faults))
+        slow = list(all_executions_replay(g, proto, SIMASYNC, None,
+                                          faults=faults))
         assert len(fast) == len(slow)
         for a, b in zip(fast, slow):
             assert a.schedule == b.schedule

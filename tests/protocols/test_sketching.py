@@ -4,11 +4,13 @@ import pytest
 
 from repro.core import SIMASYNC, MinIdScheduler, RandomScheduler, run
 from repro.core.simulator import all_executions
+from repro.encoding import l0_sampling
 from repro.graphs import generators as gen
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.properties import connected_components, is_connected
 from repro.protocols.sketching import (
     SketchConnectivityProtocol,
+    SketchEngine,
     SketchSpanningForestProtocol,
     SketchSpec,
     edge_slot,
@@ -73,6 +75,32 @@ class TestBoundaryCancellation:
             s = spec.node_sketches(NodeView(v, g.neighbors(v), 5, empty))[0]
             combined = s if combined is None else combined.combine(s)
         assert combined.is_zero
+
+
+class TestPublicCoinCaching:
+    def test_each_coin_is_hashed_once(self, monkeypatch):
+        """A cold pass of message construction hashes each public coin
+        at most once, and a warm pass over the same graph hashes none:
+        per-update rehashing shows up as a repeated coin."""
+        hash64 = l0_sampling._hash64
+        coins = []
+
+        def counting(seed, *key):
+            coins.append((seed, *key))
+            return hash64(seed, *key)
+
+        monkeypatch.setattr(l0_sampling, "_hash64", counting)
+        g = gen.random_connected_graph(96, 0.08, seed=96)
+        engine = SketchEngine(SketchSpec(96, 42))
+
+        def node_states():
+            return [engine.node_states(v, g.neighbors(v)) for v in g.nodes()]
+
+        cold = node_states()
+        assert coins and len(coins) == len(set(coins))
+        coins.clear()
+        assert node_states() == cold
+        assert coins == []
 
 
 class TestConnectivityProtocol:

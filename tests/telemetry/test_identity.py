@@ -8,6 +8,8 @@ of an identical hand-driven search.
 """
 
 import json
+import os
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -27,7 +29,13 @@ from repro.graphs import generators as gen
 from repro.protocols.build import DegenerateBuildProtocol
 from repro.runtime import ProcessPoolBackend, SerialBackend
 from repro.runtime.plan import ExecutionPlan
-from repro.telemetry import KernelStats, TaskCollection, set_tracing
+from repro.telemetry import (
+    KernelStats,
+    TaskCollection,
+    metrics,
+    set_tracing,
+    tracer,
+)
 
 
 def _portfolio(batch):
@@ -186,3 +194,65 @@ class TestFinalizeIdentity:
         with collect:
             outcome = task._run_cell(collect)
         assert collect.finalize(outcome) is outcome
+
+
+class TestUntracedPathIsFree:
+    #: Telemetry entry points an untraced ``execute()`` may call, as
+    #: (module, function): the per-task seam, the kernel snapshot's
+    #: truth test, the module-level guards that read the active tracer
+    #: and return, and the shared no-op span they hand back.
+    ALLOWED = {
+        ("collect", "TaskCollection.__init__"),
+        ("collect", "TaskCollection.__enter__"),
+        ("collect", "TaskCollection.__exit__"),
+        ("collect", "TaskCollection.observe_context"),
+        ("collect", "TaskCollection.finalize"),
+        ("stats", "KernelStats.__bool__"),
+        ("tracer", "active"), ("tracer", "span"), ("tracer", "event"),
+        ("tracer", "count"), ("tracer", "observe"),
+        ("tracer", "_NullSpan.__enter__"), ("tracer", "_NullSpan.__exit__"),
+        ("tracer", "_NullSpan.set"),
+    }
+
+    @pytest.mark.parametrize("faults", [None, "crash:1"])
+    def test_execute_builds_nothing_and_calls_only_guards(self, faults,
+                                                          monkeypatch):
+        """With tracing off, executing the stress cells constructs no
+        tracer, span, span record or metric, and enters the telemetry
+        package only through :attr:`ALLOWED`."""
+        built = []
+        for cls in (tracer.Tracer, tracer.Span, tracer.SpanRecord,
+                    metrics.MetricsRegistry, metrics.Counter,
+                    metrics.Histogram):
+            def recording(self, *args, _init=cls.__init__, _name=cls.__name__,
+                          **kwargs):
+                built.append(_name)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", recording)
+
+        package = os.path.dirname(tracer.__file__) + os.sep
+        entered = set()
+
+        def profile(frame, event, arg):
+            if (event != "call"
+                    or not frame.f_code.co_filename.startswith(package)
+                    or frame.f_back.f_code.co_filename.startswith(package)):
+                return
+            module = os.path.basename(frame.f_code.co_filename)[:-3]
+            name = frame.f_code.co_name
+            owner = frame.f_locals.get("self")
+            if owner is not None:
+                name = f"{type(owner).__name__}.{name}"
+            entered.add((module, name))
+
+        tasks = list(_stress_plan(faults=faults).tasks)
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for task in tasks:
+                task.execute()
+        finally:
+            sys.setprofile(previous)
+        assert built == []
+        assert entered <= self.ALLOWED, entered - self.ALLOWED
+        assert ("tracer", "span") in entered
